@@ -19,7 +19,7 @@ from .errors import (
     RankDeficiencyError,
     SingularTriangularError,
 )
-from .fullrank import solve_care_special, solve_qr, solve_spectral
+from .fullrank import solve_qr, solve_spectral, spd_root
 from .generate import (
     GeneratorSpec,
     gen_consistent_rankdef,
@@ -43,7 +43,6 @@ from .rankdef import (
     check_consistency,
     partition_cod,
     partition_spectral,
-    reduced_problem,
     solve_rankdef,
 )
 
@@ -79,10 +78,9 @@ __all__ = [
     "partition_cod",
     "partition_spectral",
     "random_rotation",
-    "reduced_problem",
     "run_suite",
-    "solve_care_special",
     "solve_qr",
     "solve_rankdef",
     "solve_spectral",
+    "spd_root",
 ]

@@ -78,13 +78,13 @@ def baseline_ols_projection(p: model.ProblemInstance) -> model.SpdSolution:
     and NotPositiveDefiniteError when the clipped matrix is still not SPD
     (lambda_max <= 0).
     """
-    a = p.d.T @ p.d
-    x = np.linalg.solve(a, p.d.T @ p.t)
+    g = model.gram_pair(p)
+    x = np.linalg.solve(g.a, p.d.T @ p.t)
     x = linalg.symmetrize(x)
     w, u = np.linalg.eigh(x)
     clip = 1e-8 * w.max()
     x = (u * np.maximum(w, clip)) @ u.T
-    return model.make_solution(p, x, "baseline")
+    return model.make_solution(p, g, x, "baseline")
 
 
 def run_suite(problems, solvers, repetitions: int = 3) -> list[RunRecord]:

@@ -61,32 +61,30 @@ def _solver_registry(delta, rank_tol):
     }
 
 
+def _consistency_fields(check) -> dict:
+    """Report fields of a ConsistencyReport; None means a full-rank route."""
+    if check is None:
+        return {"consistent": True, "f_norm": 0.0, "delta": None}
+    return {"consistent": check.consistent, "f_norm": check.f_norm, "delta": check.delta}
+
+
 def cmd_solve(args) -> int:
     p = _load_instance(args)
     rank_r = linalg.numeric_rank(p.d, args.rank_tol)
     method = args.method
     if method == "auto":
         method = "qr" if rank_r == p.n else "rankdef-spectral"
-    report = {"method": method, "rank_r": rank_r, "delta": None}
-    if method in ("qr", "spectral"):
-        solve = fullrank.solve_qr if method == "qr" else fullrank.solve_spectral
-        sol = solve(p, args.rank_tol)
-        report.update(consistent=True, f_norm=0.0)
-    else:
-        route = "spectral" if method == "rankdef-spectral" else "cod"
-        partition = rankdef.partition_spectral if route == "spectral" else rankdef.partition_cod
-        bp = partition(p, args.rank_tol)
-        b = linalg.symmetrize(p.t.T @ p.t)
-        delta = args.delta if args.delta is not None else rankdef.default_delta(b)
-        check = rankdef.check_consistency(bp, b, delta)
-        report.update(consistent=check.consistent, f_norm=check.f_norm, delta=delta)
-        if not check.consistent:
-            report.update(E=None, kkt_residual=None, min_eigenvalue=None)
-            _emit_report(report, args.report)
-            print("no SPD solution: consistency test failed", file=sys.stderr)
-            return EXIT_NO_SOLUTION
-        sol = rankdef.solve_rankdef(p, route=route, delta=delta, rank_tol=args.rank_tol)
+    solve = _solver_registry(args.delta, args.rank_tol)[method.replace("-", "_")]
+    report = {"method": method, "rank_r": rank_r}
+    try:
+        sol = solve(p)
+    except NoSolutionError as exc:
+        report.update(_consistency_fields(exc.report), E=None, kkt_residual=None, min_eigenvalue=None)
+        _emit_report(report, args.report)
+        print("no SPD solution: consistency test failed", file=sys.stderr)
+        return EXIT_NO_SOLUTION
     report.update(
+        _consistency_fields(sol.consistency),
         E=sol.error_value,
         kkt_residual=sol.kkt_residual,
         min_eigenvalue=sol.min_eigenvalue,

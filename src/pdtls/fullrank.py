@@ -7,8 +7,10 @@ Both routes compute the unique SPD root of X A X = B:
 * Spectral route: factor A = U S^2 U^T, form S U^T B U S = U~ S~^2 U~^T,
   then X* = U S^{-1} U~ S~ U~^T S^{-1} U^T.
 
-The QR route is the default (it avoids forming A = D^T D).  Inverses of R
-and S are applied via triangular/diagonal solves, never formed.
+The QR route is the default; its solve step never uses A = D^T D.  Inverses
+of R and S are applied via triangular/diagonal solves, never formed.  The
+QR-route closed form, spd_root, also solves the r-by-r core of the
+rank-deficient pipeline.
 """
 
 import numpy as np
@@ -16,11 +18,14 @@ import numpy as np
 from . import linalg, model
 from .errors import NotPositiveDefiniteError, RankDeficiencyError
 
-__all__ = ["solve_qr", "solve_spectral", "solve_care_special"]
+__all__ = ["spd_root", "solve_qr", "solve_spectral"]
 
 
-def _x_from_upper_factor(r_upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Root of X (R^T R) X = B given a nonsingular upper triangular R."""
+def spd_root(r_upper: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """SPD root of X (R^T R) X = B given a nonsingular upper triangular R.
+
+    Raises NotPositiveDefiniteError when R B R^T is not positive definite.
+    """
     q_tilde = linalg.symmetrize(r_upper @ b @ r_upper.T)
     sf = linalg.spectral_decompose(q_tilde)
     if sf.eigenvalues[-1] <= 0.0:
@@ -51,10 +56,9 @@ def solve_qr(p: model.ProblemInstance, rank_tol: float | None = None) -> model.S
     """Solve via the QR factorization of the data matrix (default method)."""
     _check_ranks(p, rank_tol)
     qr = linalg.qr_decompose(p.d)
-    r = qr.leading_block
-    b = linalg.symmetrize(p.t.T @ p.t)
-    x = _x_from_upper_factor(r, b)
-    return model.make_solution(p, x, "qr")
+    g = model.gram_pair(p)
+    x = spd_root(qr.leading_block, g.b)
+    return model.make_solution(p, g, x, "qr")
 
 
 def solve_spectral(p: model.ProblemInstance, rank_tol: float | None = None) -> model.SpdSolution:
@@ -74,17 +78,4 @@ def solve_spectral(p: model.ProblemInstance, rank_tol: float | None = None) -> m
         )
     core = (inner.u * np.sqrt(inner.eigenvalues)) @ inner.u.T
     x = sf.u @ (core / s[:, None] / s[None, :]) @ sf.u.T
-    return model.make_solution(p, x, "spectral")
-
-
-def solve_care_special(g: model.GramPair) -> np.ndarray:
-    """Unique SPD root X of X A X = B for SPD A and B.
-
-    Shared backend operating on Gram pairs directly: A is Cholesky-factored
-    as R^T R and the QR-route closed form is applied.
-    """
-    a = linalg.symmetrize(linalg.as_matrix(g.a))
-    b = linalg.symmetrize(linalg.as_matrix(g.b))
-    r_upper = linalg.cholesky(a).l.T
-    linalg.cholesky(b)  # reject non-SPD b up front
-    return _x_from_upper_factor(r_upper, b)
+    return model.make_solution(p, g, x, "spectral")

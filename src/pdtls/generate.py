@@ -117,7 +117,7 @@ def gen_full_rank(spec: GeneratorSpec) -> tuple[ProblemInstance, np.ndarray]:
     if spec.noise_level > 0.0:
         noise = rng.standard_normal(t.shape)
         t = t + spec.noise_level * np.linalg.norm(t) * noise / np.linalg.norm(noise)
-    return ProblemInstance(d=d, t=t, declared_rank=spec.n), x0
+    return ProblemInstance(d=d, t=t), x0
 
 
 def gen_consistent_rankdef(spec: GeneratorSpec) -> ProblemInstance:
@@ -138,7 +138,7 @@ def gen_consistent_rankdef(spec: GeneratorSpec) -> ProblemInstance:
     v_r = u[:, : spec.r] @ q
     ut = _orthonormal_columns(spec.m, spec.r, rng)
     t = (ut * np.sqrt(spec.spectrum_b)) @ v_r.T
-    p = ProblemInstance(d=d, t=t, declared_rank=spec.r)
+    p = ProblemInstance(d=d, t=t)
     if spec.noise_level > 0.0:
         p = inject_noise(p, spec.noise_level, int(rng.integers(0, 2**63 - 1)))
     return p
@@ -159,4 +159,4 @@ def inject_noise(p: ProblemInstance, eps: float, seed: int) -> ProblemInstance:
     n_t = rng.standard_normal(p.t.shape)
     d = p.d + eps * np.linalg.norm(p.d) * n_d / np.linalg.norm(n_d)
     t = p.t + eps * np.linalg.norm(p.t) * n_t / np.linalg.norm(n_t)
-    return ProblemInstance(d=d, t=t, declared_rank=p.declared_rank)
+    return ProblemInstance(d=d, t=t)

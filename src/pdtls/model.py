@@ -12,11 +12,15 @@ is the quadratic matrix equation X A X = B with A = D^T D and B = T^T T.
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionError, NotPositiveDefiniteError
+
+if TYPE_CHECKING:
+    from .rankdef import ConsistencyReport
 
 __all__ = [
     "ProblemInstance",
@@ -35,7 +39,6 @@ class ProblemInstance:
 
     d: np.ndarray
     t: np.ndarray
-    declared_rank: int | None = None
 
     def __post_init__(self):
         d = linalg.as_matrix(self.d)
@@ -70,6 +73,8 @@ class SpdSolution:
 
     method_tag is one of "qr", "spectral", "rankdef_spectral", "rankdef_cod"
     (or "baseline" for the comparison solver in the bench module).
+    consistency is the rankdef.ConsistencyReport that admitted a
+    rank-deficient solve, and None on the other routes.
     """
 
     x: np.ndarray
@@ -77,6 +82,7 @@ class SpdSolution:
     kkt_residual: float
     min_eigenvalue: float
     method_tag: str
+    consistency: "ConsistencyReport | None" = None
 
 
 def gram_pair(p: ProblemInstance) -> GramPair:
@@ -121,9 +127,12 @@ def kkt_residual(g: GramPair, x) -> float:
     return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(g.b)))
 
 
-def make_solution(p: ProblemInstance, x: np.ndarray, method_tag: str) -> SpdSolution:
+def make_solution(p: ProblemInstance, g: GramPair, x: np.ndarray, method_tag: str) -> SpdSolution:
     """Symmetrize a computed solution, validate positive definiteness, and
-    attach the error value and residual diagnostics."""
+    attach the error value and residual diagnostics.
+
+    g is the Gram pair of p that the solver already formed.
+    """
     x = linalg.symmetrize(linalg.as_matrix(x))
     min_eig = float(np.linalg.eigvalsh(x).min())
     if min_eig <= 0.0:
@@ -133,7 +142,7 @@ def make_solution(p: ProblemInstance, x: np.ndarray, method_tag: str) -> SpdSolu
     return SpdSolution(
         x=x,
         error_value=error_trace(p, x),
-        kkt_residual=kkt_residual(gram_pair(p), x),
+        kkt_residual=kkt_residual(g, x),
         min_eigenvalue=min_eig,
         method_tag=method_tag,
     )

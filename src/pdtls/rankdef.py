@@ -9,7 +9,8 @@ Xt = U^T X U and Bt = U^T B U:
     (III) Xt_nr S^2 Xt_rn = Bt_nn
 
 with S^2 the diagonal of positive eigenvalues of A.  (I) is an r-by-r
-full-rank instance of the same problem; (II) is a nonsingular linear
+full-rank instance of the same problem, solved by the QR-route closed form
+with R = S (fullrank.spd_root); (II) is a nonsingular linear
 system; (III) holds only when the data is consistent, which is tested
 against a threshold delta before solving.  The trailing diagonal block of
 Xt is free: any nonsingular lower triangular L_free yields an SPD
@@ -22,7 +23,7 @@ Two routes build the basis U: the spectral decomposition of A = D^T D, or
 the complete orthogonal decomposition of D itself.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "partition_spectral",
     "partition_cod",
     "check_consistency",
-    "reduced_problem",
     "solve_rankdef",
     "block_residuals",
 ]
@@ -191,16 +191,6 @@ def _spd_condition(b_rr: np.ndarray) -> float:
     return float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
 
 
-def reduced_problem(bp: BlockPartition) -> model.ProblemInstance:
-    """The r-by-r full-rank instance whose solution is the leading block Xt_rr.
-
-    Data matrix diag(s); target the upper Cholesky factor of B_rr, so that
-    the reduced Gram pair is exactly (S^2, B_rr).
-    """
-    t_bar = linalg.cholesky(bp.b_rr).l.T
-    return model.ProblemInstance(d=np.diag(bp.s), t=t_bar)
-
-
 def solve_rankdef(
     p: model.ProblemInstance,
     route: str = "spectral",
@@ -217,6 +207,9 @@ def solve_rankdef(
     delta : consistency threshold; defaults to 1e-8 * max(1, ||B||_F).
     rank_tol : relative rank tolerance passed to the partition step.
 
+    Returns the solution with the ConsistencyReport that admitted it in
+    its ``consistency`` field.
+
     Raises
     ------
     NoSolutionError
@@ -230,10 +223,10 @@ def solve_rankdef(
         bp = partition_cod(p, rank_tol)
     else:
         raise ValueError(f"unknown route {route!r}; expected 'spectral' or 'cod'")
-    b = linalg.symmetrize(p.t.T @ p.t)
+    g = model.gram_pair(p)
     if delta is None:
-        delta = default_delta(b)
-    report = check_consistency(bp, b, delta)
+        delta = default_delta(g.b)
+    report = check_consistency(bp, g.b, delta)
     if not report.consistent:
         raise NoSolutionError(
             f"inconsistent instance: f_norm={report.f_norm:.3e} >= delta={delta:.3e}",
@@ -249,7 +242,7 @@ def solve_rankdef(
         )
     xt = np.zeros((n, n))
     if r:
-        x_rr = fullrank.solve_qr(reduced_problem(bp)).x
+        x_rr = fullrank.spd_root(np.diag(bp.s), bp.b_rr)
         l_rr = linalg.cholesky(x_rr).l
         xt[:r, :r] = x_rr
         if n > r:
@@ -267,7 +260,7 @@ def solve_rankdef(
         xt[:, :] = choice.l_free @ choice.l_free.T
     x = bp.basis_u @ xt @ bp.basis_u.T
     tag = "rankdef_spectral" if route == "spectral" else "rankdef_cod"
-    return model.make_solution(p, x, tag)
+    return replace(model.make_solution(p, g, x, tag), consistency=report)
 
 
 def block_residuals(bp: BlockPartition, x) -> tuple[float, float]:

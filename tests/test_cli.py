@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from pdtls import io
+from pdtls import io, linalg, model, rankdef
 from pdtls.cli import main
 
 
@@ -27,8 +27,44 @@ def test_generate_check_solve_round_trip(tmp_path, capsys):
     report = json.loads(rep_path.read_text())
     assert report["method"] == "rankdef-spectral"
     assert report["kkt_residual"] <= 1e-9
+    p = model.ProblemInstance(d=io.read_matrix(d), t=io.read_matrix(t))
+    b = linalg.symmetrize(p.t.T @ p.t)
+    delta = rankdef.default_delta(b)
+    assert report["consistent"] is True
+    assert report["f_norm"] < report["delta"]
+    assert report["delta"] == delta
     x = io.read_matrix(out)
     assert np.all(np.linalg.eigvalsh(x) > 0)
+
+    # The library attaches the same consistency test to its solution.
+    sol = rankdef.solve_rankdef(p)
+    assert sol.consistency == rankdef.check_consistency(rankdef.partition_spectral(p), b, delta)
+    assert report["f_norm"] == sol.consistency.f_norm
+
+
+def test_solve_rankdef_partitions_once(tmp_path, spy):
+    assert run(["generate", "--m", 20, "--n", 5, "--rank", 3, "--seed", 7,
+                "--out-dir", tmp_path]) == 0
+    partition = spy(rankdef, "partition_spectral")
+    check = spy(rankdef, "check_consistency")
+    assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx",
+                "--report", tmp_path / "report.json"]) == 0
+    assert (partition.call_count, check.call_count) == (1, 1)
+
+
+def test_solve_rankdef_honours_small_rank_tol(tmp_path):
+    # The rank-2 core keeps sigma = 1e-12 at --rank-tol 1e-14.
+    io.write_matrix(tmp_path / "D.mtx", np.diag([1.0, 1e-12, 0.0]))
+    io.write_matrix(tmp_path / "T.mtx", np.diag([2.0, 3.0, 0.0]))
+    out = tmp_path / "X.mtx"
+    assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx",
+                "--method", "rankdef-spectral", "--rank-tol", "1e-14", "--out", out,
+                "--report", tmp_path / "report.json"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["rank_r"] == 2
+    scale = 1.0 / np.sqrt([2.0, 3e12, 1.0])
+    x = io.read_matrix(out)
+    assert np.allclose(scale[:, None] * x * scale[None, :], np.eye(3), rtol=0.0, atol=1e-12)
 
 
 def test_solve_full_rank(tmp_path, capsys):

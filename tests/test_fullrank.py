@@ -109,15 +109,18 @@ def test_global_minimality_probe():
         assert e >= e_star - 1e-12
 
 
+# X A X = B is a special case of the continuous-time algebraic Riccati
+# equation; spd_root is its closed form, given the upper factor R of A = R^T R.
+
+
 def test_care_special_identity():
-    x = fullrank.solve_care_special(model.GramPair(a=np.eye(3), b=np.eye(3)))
+    x = fullrank.spd_root(np.eye(3), np.eye(3))
     assert_allclose(x, np.eye(3), atol=1e-12)
 
 
 def test_care_special_decoupled_scalars():
-    x = fullrank.solve_care_special(
-        model.GramPair(a=np.diag([1.0, 4.0]), b=np.diag([4.0, 4.0]))
-    )
+    # A = diag(1, 4) = R^T R with R = diag(1, 2)
+    x = fullrank.spd_root(np.diag([1.0, 2.0]), np.diag([4.0, 4.0]))
     assert_allclose(x, np.diag([2.0, 1.0]), atol=1e-12)
 
 
@@ -128,15 +131,14 @@ def test_care_special_random_residual():
     gb = rng.standard_normal((n, n))
     a = ga @ ga.T + n * np.eye(n)
     b = gb @ gb.T + n * np.eye(n)
-    x = fullrank.solve_care_special(model.GramPair(a=a, b=b))
+    x = fullrank.spd_root(linalg.cholesky(a).l.T, b)
     assert np.linalg.norm(x @ a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_care_special_rejects_indefinite():
+    # R B R^T is not positive definite, so no SPD root exists.
     with pytest.raises(NotPositiveDefiniteError):
-        fullrank.solve_care_special(
-            model.GramPair(a=np.diag([1.0, -1.0]), b=np.eye(2))
-        )
+        fullrank.spd_root(np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([1.0, -1.0]))
 
 
 def test_rank_deficient_data_raises():

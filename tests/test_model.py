@@ -157,8 +157,10 @@ def test_error_invariant_under_factor_rotation():
 
 def test_make_solution_validates():
     p = model.ProblemInstance(d=np.eye(2), t=np.diag([2.0, 3.0]))
-    sol = model.make_solution(p, np.diag([2.0, 3.0]), "qr")
+    g = model.gram_pair(p)
+    sol = model.make_solution(p, g, np.diag([2.0, 3.0]), "qr")
     assert sol.min_eigenvalue == pytest.approx(2.0)
     assert sol.method_tag == "qr"
+    assert sol.consistency is None
     with pytest.raises(NotPositiveDefiniteError):
-        model.make_solution(p, np.diag([1.0, -1.0]), "qr")
+        model.make_solution(p, g, np.diag([1.0, -1.0]), "qr")

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from pdtls import generate, linalg, model, rankdef
+from pdtls import fullrank, generate, linalg, model, rankdef
 from pdtls.errors import DimensionError, NoSolutionError, NotPositiveDefiniteError
 
 
@@ -115,36 +115,46 @@ def test_check_consistency_generator_round_trip():
         assert rep.f_norm <= 1e-8 * np.linalg.norm(b)
 
 
-def test_reduced_problem_examples():
-    bp = rankdef.partition_spectral(diag_problem())
-    red = rankdef.reduced_problem(bp)
-    assert_allclose(red.d, [[1.0]])
-    assert_allclose(red.t, [[2.0]])
-
-    bp_i = rankdef.BlockPartition(
-        r=2, b_rr=np.eye(2), b_rn=np.zeros((2, 1)), b_nn=np.zeros((1, 1)),
-        s=np.array([1.0, 1.0]), basis_u=np.eye(3),
-    )
-    assert_allclose(rankdef.reduced_problem(bp_i).t, np.eye(2))
-
-    rng = np.random.default_rng(23)
-    g = rng.standard_normal((4, 4))
-    b_rr = g @ g.T + 4 * np.eye(4)
-    bp_r = rankdef.BlockPartition(
-        r=4, b_rr=b_rr, b_rn=np.zeros((4, 0)), b_nn=np.zeros((0, 0)),
-        s=np.ones(4), basis_u=np.eye(4),
-    )
-    t_bar = rankdef.reduced_problem(bp_r).t
-    assert np.linalg.norm(t_bar.T @ t_bar - b_rr) <= 1e-12 * np.linalg.norm(b_rr)
-
-
-def test_reduced_problem_rejects_indefinite_block():
+def test_core_root_rejects_indefinite_block():
+    # The r-by-r core is rooted as solve_rankdef does it, with R = diag(s).
     bp = rankdef.BlockPartition(
         r=2, b_rr=np.diag([1.0, -1.0]), b_rn=np.zeros((2, 0)), b_nn=np.zeros((0, 0)),
         s=np.ones(2), basis_u=np.eye(2),
     )
     with pytest.raises(NotPositiveDefiniteError):
-        rankdef.reduced_problem(bp)
+        fullrank.spd_root(np.diag(bp.s), bp.b_rr)
+
+
+@pytest.mark.parametrize("route", ["spectral", "cod"])
+def test_solve_rankdef_keeps_core_at_small_rank_tol(route):
+    # rank_tol = 1e-14 keeps sigma = 1e-12 in the rank-2 core, which must be
+    # solved at that rank and not re-ranked at the default tolerance.
+    p = model.ProblemInstance(d=np.diag([1.0, 1e-12, 0.0]), t=np.diag([2.0, 3.0, 0.0]))
+    sol = rankdef.solve_rankdef(p, route=route, rank_tol=1e-14)
+    expected = np.array([2.0, 3e12, 1.0])
+    scale = 1.0 / np.sqrt(expected)
+    assert_allclose(scale[:, None] * sol.x * scale[None, :], np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("route", ["spectral", "cod"])
+def test_solve_rankdef_is_one_pass(route, spy):
+    p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=12, n=5, r=3, seed=31))
+    solve_qr = spy(fullrank, "solve_qr")
+    make_solution = spy(model, "make_solution")
+    numeric_rank = spy(linalg, "numeric_rank")
+    rankdef.solve_rankdef(p, route=route)
+    assert (solve_qr.call_count, make_solution.call_count, numeric_rank.call_count) == (0, 1, 1)
+
+
+def test_solve_rankdef_attaches_consistency_report():
+    p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=12, n=5, r=3, seed=31))
+    b = gram_b(p)
+    delta = rankdef.default_delta(b)
+    for route in ("spectral", "cod"):
+        rep = rankdef.solve_rankdef(p, route=route).consistency
+        assert rep.consistent
+        assert rep.delta == delta
+        assert rep.f_norm < delta
 
 
 def test_solve_rankdef_diagonal_completion():
