@@ -57,7 +57,7 @@ def solve_qr(p: model.ProblemInstance, rank_tol: float | None = None) -> model.S
     _check_ranks(p, rank_tol)
     qr = linalg.qr_decompose(p.d)
     g = model.gram_pair(p)
-    x = spd_root(qr.leading_block, g.b)
+    x = spd_root(qr.r, g.b)
     return model.make_solution(p, g, x, "qr")
 
 

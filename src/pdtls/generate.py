@@ -90,7 +90,7 @@ def random_rotation(k: int, seed) -> np.ndarray:
 
 def _orthonormal_columns(m: int, n: int, rng) -> np.ndarray:
     """m-by-n matrix with orthonormal columns, Haar-ish via QR."""
-    return linalg.qr_decompose(rng.standard_normal((m, n))).q[:, :n]
+    return linalg.qr_decompose(rng.standard_normal((m, n))).q
 
 
 def _random_spd(n: int, rng) -> np.ndarray:

@@ -64,17 +64,11 @@ def default_rank_tol(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class QrFactors:
-    """QR factorization a = q @ r with q (m, m) orthonormal, r (m, n) upper
-    triangular with nonnegative diagonal."""
+    """Economy QR factorization a = q @ r: q (m, n) with orthonormal columns,
+    r (n, n) upper triangular with nonnegative diagonal."""
 
     q: np.ndarray
     r: np.ndarray
-
-    @property
-    def leading_block(self) -> np.ndarray:
-        """Top n-by-n block of r (nonsingular when the input has full column rank)."""
-        n = self.r.shape[1]
-        return self.r[:n, :]
 
 
 @dataclass(frozen=True)
@@ -94,13 +88,12 @@ class CholeskyFactor:
 
 @dataclass(frozen=True)
 class CodFactors:
-    """Complete orthogonal decomposition a = u @ [[r_block, 0], [0, 0]] @ v.T.
+    """Complete orthogonal decomposition a = U @ [[r_block, 0], [0, 0]] @ v.T, U not formed.
 
-    u (m, m) and v (n, n) are orthonormal; r_block is rank-by-rank upper
-    triangular and nonsingular.
+    v (n, n) is orthonormal; r_block is rank-by-rank upper triangular with a
+    positive diagonal.  The left factor is carried by a @ v = [U_r @ r_block, 0].
     """
 
-    u: np.ndarray
     r_block: np.ndarray
     v: np.ndarray
     rank: int
@@ -116,7 +109,7 @@ def qr_decompose(a) -> QrFactors:
     Returns
     -------
     QrFactors
-        Full factors: q is m-by-m, r is m-by-n.
+        Economy factors: q is m-by-n, r is n-by-n.
 
     Raises
     ------
@@ -127,13 +120,10 @@ def qr_decompose(a) -> QrFactors:
     m, n = a.shape
     if m < n:
         raise DimensionError(f"qr_decompose requires rows >= cols, got {m}x{n}")
-    q, r = np.linalg.qr(a, mode="complete")
+    q, r = np.linalg.qr(a, mode="reduced")
     # Fix signs so diag(r) >= 0, making the factors deterministic.
-    for i in range(n):
-        if r[i, i] < 0.0:
-            r[i, i:] = -r[i, i:]
-            q[:, i] = -q[:, i]
-    return QrFactors(q=q, r=r)
+    sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return QrFactors(q=q * sign, r=r * sign[:, None])
 
 
 def spectral_decompose(a) -> SpectralFactors:
@@ -178,8 +168,8 @@ def numeric_rank(a, rank_tol: float | None = None) -> int:
     a = as_matrix(a)
     if rank_tol is None:
         rank_tol = default_rank_tol(a)
-    if rank_tol <= 0.0:
-        raise ValueError("rank_tol must be positive")
+    if not (np.isfinite(rank_tol) and rank_tol > 0.0):
+        raise ValueError(f"rank_tol must be positive and finite, got {rank_tol}")
     if min(a.shape) == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
@@ -189,20 +179,23 @@ def numeric_rank(a, rank_tol: float | None = None) -> int:
 
 
 def complete_orthogonal_decompose(a, rank_tol: float | None = None) -> CodFactors:
-    """Complete orthogonal decomposition a = u [[R, 0], [0, 0]] v^T.
+    """Complete orthogonal decomposition a = U [[R, 0], [0, 0]] v^T, U not formed.
 
-    Built as QR with column pivoting followed by an orthogonal reduction of
-    the leading rows, so R comes out upper triangular.  The rank is decided
-    by :func:`numeric_rank` (singular-value test), not by the pivoted-QR
-    diagonal.
+    Built as one QR with column pivoting, a P = Q R0, followed by an
+    orthogonal reduction of the leading rows of R0, so R comes out upper
+    triangular.  The rank is decided by :func:`numeric_rank` on the top
+    min(m, n) rows of R0, which have the singular values of a; the
+    tolerance defaults to :func:`default_rank_tol` of a's own shape.
     """
     a = as_matrix(a)
-    m, n = a.shape
-    r = numeric_rank(a, rank_tol)
+    n = a.shape[1]
+    if rank_tol is None:
+        rank_tol = default_rank_tol(a)
+    rr, piv = sla.qr(a, mode="r", pivoting=True)
+    r = numeric_rank(rr[:n, :], rank_tol)
     if r == 0:
-        return CodFactors(u=np.eye(m), r_block=np.zeros((0, 0)), v=np.eye(n), rank=0)
-    q, rr, piv = sla.qr(a, mode="full", pivoting=True)
-    p = np.eye(n)[:, piv]  # a @ p = q @ rr
+        return CodFactors(r_block=np.zeros((0, 0)), v=np.eye(n), rank=0)
+    p = np.eye(n)[:, piv]  # a @ p = Q @ rr
     top = rr[:r, :]  # full row rank r-by-n
     # Reduce [T1 T2] -> [T 0] Z^T with T upper triangular, via the flip trick:
     # QR of the row/column-reversed transpose yields the triangle in the
@@ -214,14 +207,9 @@ def complete_orthogonal_decompose(a, rank_tol: float | None = None) -> CodFactor
     z[:, :r] = z[:, :r][:, ::-1]
     # Now top = [t, 0] @ z.T and v = p @ z.
     v = p @ z
-    # Deterministic signs: make diag(t) nonnegative by flipping rows of t and
-    # the matching columns of u.
-    u = q.copy()
-    for i in range(r):
-        if t[i, i] < 0.0:
-            t[i, i:] = -t[i, i:]
-            u[:, i] = -u[:, i]
-    return CodFactors(u=u, r_block=t, v=v, rank=r)
+    # Deterministic signs: flip rows of t (and columns of the unformed U) so diag(t) >= 0.
+    t *= np.where(np.diag(t) < 0.0, -1.0, 1.0)[:, None]
+    return CodFactors(r_block=t, v=v, rank=r)
 
 
 def solve_triangular(factor, rhs, lower: bool = True, trans: bool = False) -> np.ndarray:
@@ -230,10 +218,12 @@ def solve_triangular(factor, rhs, lower: bool = True, trans: bool = False) -> np
     Raises
     ------
     SingularTriangularError
-        On a zero diagonal entry.
+        On a numerically zero pivot: min |diag| <= k * eps * max |diag| for
+        a factor of order k.
     """
     factor = as_matrix(factor)
     rhs = np.asarray(rhs, dtype=np.float64)
-    if np.any(np.diag(factor) == 0.0):
-        raise SingularTriangularError("triangular factor has a zero diagonal entry")
+    piv = np.abs(np.diag(factor))
+    if piv.size and piv.min() <= piv.size * np.finfo(float).eps * piv.max():
+        raise SingularTriangularError("triangular factor has a numerically zero pivot")
     return sla.solve_triangular(factor, rhs, lower=lower, trans=1 if trans else 0)

@@ -153,7 +153,10 @@ def check_consistency(bp: BlockPartition, b, delta: float) -> ConsistencyReport:
     flags the instance consistent iff f_norm < delta.  A singular (or
     numerically singular) leading block B_rr means the data cannot support
     an SPD solution: reported inconsistent with f_norm and condition inf.
+    Raises ValueError unless delta > 0 (a NaN delta is rejected too).
     """
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     b = linalg.symmetrize(linalg.as_matrix(b))
     n = bp.basis_u.shape[0]
     r = bp.r

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from pdtls import io, linalg, model, rankdef
 from pdtls.cli import main
@@ -112,6 +113,14 @@ def test_invalid_inputs_exit_3(tmp_path):
     assert run(["generate", "--m", 3, "--n", 5, "--rank", 2, "--seed", 1,
                 "--out-dir", tmp_path]) == 3
     assert run(["bench", "--records", tmp_path / "r.csv"]) == 3
+
+
+@pytest.mark.parametrize("flag", ["--rank-tol", "--delta"])
+def test_nan_tolerance_exit_3(tmp_path, flag):
+    io.write_matrix(tmp_path / "D.mtx", np.diag([1.0, 1.0, 0.0]))
+    io.write_matrix(tmp_path / "T.mtx", np.diag([2.0, 3.0, 0.0]))
+    assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx",
+                flag, "nan"]) == 3
 
 
 def test_forced_qr_on_rank_deficient_is_invalid(tmp_path):

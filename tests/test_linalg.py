@@ -36,12 +36,16 @@ def test_qr_rejects_wide():
         linalg.qr_decompose(np.ones((2, 3)))
 
 
-def test_qr_leading_block():
+def test_qr_economy_factors():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((5, 3))
     f = linalg.qr_decompose(a)
-    assert f.leading_block.shape == (3, 3)
-    assert_allclose(f.leading_block, f.r[:3, :])
+    assert f.q.shape == (5, 3)
+    assert f.r.shape == (3, 3)
+    assert_allclose(f.q.T @ f.q, np.eye(3), atol=1e-14)
+    assert_allclose(f.r, np.triu(f.r), atol=0.0)
+    assert np.all(np.diag(f.r) >= 0)
+    assert_allclose(f.q @ f.r, a, atol=1e-14)
 
 
 def test_spectral_diagonal():
@@ -82,6 +86,20 @@ def test_cholesky_rejects_indefinite():
         linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
 
 
+def assert_cod_factors(a, f):
+    """a @ v = [U_r r_block, 0] with U_r orthonormal, so the trailing columns
+    vanish and the Gram matrix of the leading ones is r_block^T r_block."""
+    nrm = np.linalg.norm(a)
+    n = a.shape[1]
+    av = a @ f.v
+    assert np.linalg.norm(f.v.T @ f.v - np.eye(n)) <= 1e-11 * n
+    assert np.linalg.norm(av[:, f.rank:]) <= 1e-11 * nrm
+    av_r = av[:, : f.rank]
+    assert np.linalg.norm(av_r.T @ av_r - f.r_block.T @ f.r_block) <= 1e-11 * nrm**2
+    assert_allclose(f.r_block, np.triu(f.r_block), atol=0.0)
+    assert np.all(np.diag(f.r_block) >= 0)
+
+
 def test_cod_diagonal_rank1():
     f = linalg.complete_orthogonal_decompose(np.diag([1.0, 0.0]))
     assert f.rank == 1
@@ -93,9 +111,7 @@ def test_cod_full_rank():
     a = rng.standard_normal((5, 3))
     f = linalg.complete_orthogonal_decompose(a)
     assert f.rank == 3
-    mid = np.zeros((5, 3))
-    mid[:3, :3] = f.r_block
-    assert np.linalg.norm(f.u @ mid @ f.v.T - a) <= 1e-11 * np.linalg.norm(a)
+    assert_cod_factors(a, f)
     # rank oracle via singular values
     assert f.rank == np.sum(np.linalg.svd(a, compute_uv=False) > 1e-10)
 
@@ -127,6 +143,23 @@ def test_numeric_rank_requires_positive_tol():
         linalg.numeric_rank(np.eye(2), 0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_numeric_rank_rejects_nonfinite_tol(tol):
+    with pytest.raises(ValueError):
+        linalg.numeric_rank(np.eye(2), tol)
+
+
+def test_cod_rank_uses_tolerance_of_input_shape():
+    # sigma_min / sigma_max = 1e-8 lies between default_rank_tol of the 5x5
+    # triangular factor (5e-10) and that of the 1000x5 input (1e-7).
+    rng = np.random.default_rng(5)
+    left, _ = np.linalg.qr(rng.standard_normal((1000, 5)))
+    right, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    a = (left * np.array([1.0, 0.5, 0.2, 0.1, 1e-8])) @ right.T
+    assert linalg.numeric_rank(a) == 4
+    assert linalg.complete_orthogonal_decompose(a).rank == linalg.numeric_rank(a)
+
+
 def test_solve_triangular_identity():
     b = np.array([[1.0], [2.0]])
     assert_allclose(linalg.solve_triangular(np.eye(2), b), b)
@@ -143,13 +176,21 @@ def test_solve_triangular_singular():
         linalg.solve_triangular(np.diag([1.0, 0.0]), np.ones((2, 1)))
 
 
+def test_solve_triangular_numerically_singular():
+    with pytest.raises(SingularTriangularError):
+        linalg.solve_triangular(np.diag([1.0, 1e-300]), np.ones((2, 1)))
+
+
 @pytest.mark.parametrize("m,n", [(10, 4), (50, 20), (200, 100)])
 def test_roundtrip_property(m, n):
     rng = np.random.default_rng(m * 1000 + n)
     a = rng.standard_normal((m, n))
     f = linalg.qr_decompose(a)
+    assert f.q.shape == (m, n) and f.r.shape == (n, n)
     assert np.linalg.norm(f.q @ f.r - a) <= 1e-12 * np.linalg.norm(a)
-    assert np.linalg.norm(f.q.T @ f.q - np.eye(m)) <= 1e-11 * m
+    assert np.linalg.norm(f.q.T @ f.q - np.eye(n)) <= 1e-11 * n
+    assert_allclose(f.r, np.triu(f.r), atol=0.0)
+    assert np.all(np.diag(f.r) >= 0)
 
     sym = linalg.symmetrize(rng.standard_normal((n, n)))
     sf = linalg.spectral_decompose(sym)
@@ -168,10 +209,7 @@ def test_roundtrip_property(m, n):
     low = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
     codf = linalg.complete_orthogonal_decompose(low)
     assert codf.rank == r
-    mid = np.zeros((m, n))
-    mid[:r, :r] = codf.r_block
-    assert np.linalg.norm(codf.u @ mid @ codf.v.T - low) <= 1e-11 * np.linalg.norm(low)
-    assert np.linalg.norm(codf.v.T @ codf.v - np.eye(n)) <= 1e-11 * n
+    assert_cod_factors(low, codf)
 
 
 def test_numeric_rank_rotation_invariance():

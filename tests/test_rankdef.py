@@ -91,6 +91,13 @@ def test_check_consistency_forced_inconsistent():
     assert rep.f_norm == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("delta", [np.nan, 0.0, -1e-8])
+def test_check_consistency_rejects_bad_delta(delta):
+    p = diag_problem()
+    with pytest.raises(ValueError):
+        rankdef.check_consistency(rankdef.partition_spectral(p), gram_b(p), delta)
+
+
 def test_check_consistency_singular_leading_block():
     # rank(B) < r forces a singular B_rr: reported inconsistent with inf markers
     d3 = np.diag([1.0, 1.0, 0.0])
