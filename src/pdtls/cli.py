@@ -6,6 +6,7 @@ input, 1 internal error.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,6 +32,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of a tolerance: a positive, finite float."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def _emit_report(report: dict, path: str | None) -> None:
@@ -212,9 +221,9 @@ def build_parser() -> _Parser:
     def add_common(sp):
         sp.add_argument("--format", choices=io.FORMATS, default=None,
                         help="matrix file format (default: inferred from extension)")
-        sp.add_argument("--rank-tol", type=float, default=None, dest="rank_tol",
+        sp.add_argument("--rank-tol", type=_positive_float, default=None, dest="rank_tol",
                         help="relative rank tolerance (default: 1e-10 * max(m, n))")
-        sp.add_argument("--delta", type=float, default=None,
+        sp.add_argument("--delta", type=_positive_float, default=None,
                         help="consistency threshold (default: 1e-8 * max(1, ||B||_F))")
         sp.add_argument("--report", default=None,
                         help="write the JSON report here instead of stdout")

@@ -1,16 +1,19 @@
 """Direct solvers for min tr(A X + X^{-1} B) over SPD X, full-rank data.
 
-Both routes compute the unique SPD root of X A X = B:
+Both routes compute the unique SPD root of X A X = B from one factor of
+D: an R-only QR, D = Q R with Q not formed, and the SVD R = W S V^T, so
+that A = D^T D = V S^2 V^T without A being formed (linalg.qr_svd_decompose).
+That factor also decides the rank of D; one SVD of T decides T's rank.
 
-* QR route: factor D = Q R, form R B R^T = U S~^2 U^T, then
-  X* = R^{-1} U S~ U^T R^{-T}.
-* Spectral route: factor A = U S^2 U^T, form S U^T B U S = U~ S~^2 U~^T,
-  then X* = U S^{-1} U~ S~ U~^T S^{-1} U^T.
+* QR route: form R B R^T = U S~^2 U^T, then X* = R^{-1} U S~ U^T R^{-T}
+  (spd_root).
+* Spectral route: form S V^T B V S = U~ S~^2 U~^T, then
+  X* = V S^{-1} U~ S~ U~^T S^{-1} V^T (spd_root_diag, conjugated by V).
 
-The QR route is the default; its solve step never uses A = D^T D.  Inverses
-of R and S are applied via triangular/diagonal solves, never formed.  The
-QR-route closed form, spd_root, also solves the r-by-r core of the
-rank-deficient pipeline.
+The QR route is the default.  Inverses of R and S are applied via
+triangular/diagonal solves, never formed.  The spectral route's closed
+form, spd_root_diag, also solves the r-by-r core of the rank-deficient
+pipeline.
 """
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from . import linalg, model
 from .errors import NotPositiveDefiniteError, RankDeficiencyError
 
-__all__ = ["spd_root", "solve_qr", "solve_spectral"]
+__all__ = ["spd_root", "spd_root_diag", "solve_qr", "solve_spectral"]
 
 
 def spd_root(r_upper: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -39,43 +42,52 @@ def spd_root(r_upper: np.ndarray, b: np.ndarray) -> np.ndarray:
     return linalg.symmetrize(x)
 
 
-def _check_ranks(p: model.ProblemInstance, rank_tol: float | None):
-    n = p.n
-    if linalg.numeric_rank(p.d, rank_tol) < n:
+def spd_root_diag(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """SPD root S^{-1} (S B S)^{1/2} S^{-1} of X S^2 X = B, S = diag(s), s > 0.
+
+    Raises NotPositiveDefiniteError when S B S is not positive definite.
+    """
+    q_tilde = linalg.symmetrize(s[:, None] * b * s[None, :])
+    inner = linalg.spectral_decompose(q_tilde)
+    if inner.eigenvalues[-1] <= 0.0:
+        raise NotPositiveDefiniteError(
+            "S B S is not positive definite (target matrix is rank deficient)"
+        )
+    core = (inner.u * np.sqrt(inner.eigenvalues)) @ inner.u.T
+    return core / s[:, None] / s[None, :]
+
+
+def _factor_data(p: model.ProblemInstance, rank_tol: float | None) -> linalg.QrSvdFactors:
+    """Factor D once; refuse D or T of deficient numeric rank."""
+    f = linalg.qr_svd_decompose(p.d, rank_tol)
+    d_full = f.rank == p.n
+    if d_full and linalg.numeric_rank(p.t, rank_tol) == p.n:
+        return f
+    # A caller that keeps the refusal keeps this frame; drop the factor so
+    # that kept refusals do not hold its arrays.
+    del f
+    if not d_full:
         raise RankDeficiencyError(
             "data matrix is numerically rank deficient; use the rank-deficient solver"
         )
-    if linalg.numeric_rank(p.t, rank_tol) < n:
-        raise NotPositiveDefiniteError(
-            "target matrix is numerically rank deficient, so T^T T is singular "
-            "and no SPD solution of X A X = B exists"
-        )
+    raise NotPositiveDefiniteError(
+        "target matrix is numerically rank deficient, so T^T T is singular "
+        "and no SPD solution of X A X = B exists"
+    )
 
 
 def solve_qr(p: model.ProblemInstance, rank_tol: float | None = None) -> model.SpdSolution:
-    """Solve via the QR factorization of the data matrix (default method)."""
-    _check_ranks(p, rank_tol)
-    qr = linalg.qr_decompose(p.d)
+    """Solve via the triangular factor R of D = Q R (default method)."""
+    f = _factor_data(p, rank_tol)
     g = model.gram_pair(p)
-    x = spd_root(qr.r, g.b)
+    x = spd_root(f.r, g.b)
     return model.make_solution(p, g, x, "qr")
 
 
 def solve_spectral(p: model.ProblemInstance, rank_tol: float | None = None) -> model.SpdSolution:
-    """Solve via the spectral decomposition of A = D^T D."""
-    _check_ranks(p, rank_tol)
+    """Solve via the eigenpairs of A = D^T D, read from the SVD of D's R."""
+    f = _factor_data(p, rank_tol)
     g = model.gram_pair(p)
-    sf = linalg.spectral_decompose(g.a)
-    if sf.eigenvalues[-1] <= 0.0:
-        raise RankDeficiencyError("A = D^T D is numerically singular")
-    s = np.sqrt(sf.eigenvalues)
-    # S U^T B U S with diagonal S applied by broadcasting
-    q_tilde = linalg.symmetrize(s[:, None] * (sf.u.T @ g.b @ sf.u) * s[None, :])
-    inner = linalg.spectral_decompose(q_tilde)
-    if inner.eigenvalues[-1] <= 0.0:
-        raise NotPositiveDefiniteError(
-            "S U^T B U S is not positive definite (target matrix is rank deficient)"
-        )
-    core = (inner.u * np.sqrt(inner.eigenvalues)) @ inner.u.T
-    x = sf.u @ (core / s[:, None] / s[None, :]) @ sf.u.T
+    core = spd_root_diag(f.s, f.v.T @ g.b @ f.v)
+    x = f.v @ core @ f.v.T
     return model.make_solution(p, g, x, "spectral")

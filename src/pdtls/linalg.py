@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import (
     AsymmetricMatrixError,
@@ -20,12 +21,14 @@ from .errors import (
 
 __all__ = [
     "QrFactors",
+    "QrSvdFactors",
     "SpectralFactors",
     "CholeskyFactor",
     "CodFactors",
     "as_matrix",
     "default_rank_tol",
     "qr_decompose",
+    "qr_svd_decompose",
     "spectral_decompose",
     "cholesky",
     "complete_orthogonal_decompose",
@@ -69,6 +72,22 @@ class QrFactors:
 
     q: np.ndarray
     r: np.ndarray
+
+
+@dataclass(frozen=True)
+class QrSvdFactors:
+    """The triangle of a = Q r (Q not formed) and the SVD r = W diag(s) v^T.
+
+    r is n-by-n upper triangular, with the diagonal signs LAPACK's dgeqrf
+    leaves (a^T a = r^T r does not depend on them); s is descending and
+    v (n, n) orthonormal, so a^T a = v diag(s**2) v^T without a^T a being
+    formed.  rank counts s above rank_tol * s[0].
+    """
+
+    r: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+    rank: int
 
 
 @dataclass(frozen=True)
@@ -126,6 +145,37 @@ def qr_decompose(a) -> QrFactors:
     return QrFactors(q=q * sign, r=r * sign[:, None])
 
 
+def qr_svd_decompose(a, rank_tol: float | None = None) -> QrSvdFactors:
+    """R-only Householder QR of a tall matrix, then the SVD of its triangle.
+
+    One factorization of a serves its rank, its singular values and the
+    eigenbasis of a^T a.  The rank follows :func:`numeric_rank`'s rule, with
+    ``rank_tol`` defaulting to :func:`default_rank_tol` of a's own shape.
+
+    Raises
+    ------
+    DimensionError
+        If the input has fewer rows than columns.
+    """
+    a = as_matrix(a)
+    m, n = a.shape
+    if m < n:
+        raise DimensionError(f"qr_svd_decompose requires rows >= cols, got {m}x{n}")
+    if rank_tol is None:
+        rank_tol = default_rank_tol(a)
+    if n == 0:  # LAPACK rejects an empty workspace query
+        return QrSvdFactors(r=np.zeros((0, 0)), s=np.zeros(0), v=np.zeros((0, 0)), rank=0)
+    # The queried workspace is the one np.linalg.qr asks for, so on one BLAS
+    # thread r matches qr_decompose's r bit for bit, up to the row signs.
+    lwork = int(lapack.dgeqrf_lwork(m, n)[0])
+    qr, _, _, qr_info = lapack.dgeqrf(a, lwork=lwork)
+    r = np.triu(qr[:n])
+    _, s, vt, svd_info = lapack.dgesdd(r, compute_uv=1, full_matrices=0)
+    if qr_info or svd_info:
+        raise np.linalg.LinAlgError(f"LAPACK dgeqrf/dgesdd failed, info={qr_info}/{svd_info}")
+    return QrSvdFactors(r=r, s=s, v=vt.T, rank=_rank_of(s, rank_tol))
+
+
 def spectral_decompose(a) -> SpectralFactors:
     """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending.
 
@@ -168,12 +218,15 @@ def numeric_rank(a, rank_tol: float | None = None) -> int:
     a = as_matrix(a)
     if rank_tol is None:
         rank_tol = default_rank_tol(a)
+    s = np.linalg.svd(a, compute_uv=False) if min(a.shape) else np.zeros(0)
+    return _rank_of(s, rank_tol)
+
+
+def _rank_of(s: np.ndarray, rank_tol: float) -> int:
+    """Count the descending singular values s above ``rank_tol * s[0]``."""
     if not (np.isfinite(rank_tol) and rank_tol > 0.0):
         raise ValueError(f"rank_tol must be positive and finite, got {rank_tol}")
-    if min(a.shape) == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
+    if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rank_tol * s[0]))
 

@@ -9,18 +9,21 @@ Xt = U^T X U and Bt = U^T B U:
     (III) Xt_nr S^2 Xt_rn = Bt_nn
 
 with S^2 the diagonal of positive eigenvalues of A.  (I) is an r-by-r
-full-rank instance of the same problem, solved by the QR-route closed form
-with R = S (fullrank.spd_root); (II) is a nonsingular linear
-system; (III) holds only when the data is consistent, which is tested
-against a threshold delta before solving.  The trailing diagonal block of
-Xt is free: any nonsingular lower triangular L_free yields an SPD
-completion via the block Cholesky identities
+full-rank instance of the same problem, solved by the spectral route's
+closed form S^{-1} (S Bt_rr S)^{1/2} S^{-1} (fullrank.spd_root_diag);
+(II) is a nonsingular linear system; (III) holds only when the data is
+consistent, which is tested against a threshold delta before solving.
+The trailing diagonal block of Xt is free: any nonsingular lower
+triangular L_free yields an SPD completion via the block Cholesky
+identities
 
     Xt_rr = L_rr L_rr^T,  Xt_rn = L_rr L_nr^T,
     Xt_nn = L_nr L_nr^T + L_free L_free^T.
 
-Two routes build the basis U: the spectral decomposition of A = D^T D, or
-the complete orthogonal decomposition of D itself.
+Two routes build the basis U, neither forming A: the SVD of the triangle
+R of D = Q R, whose right singular vectors are the eigenvectors of A and
+whose singular values decide the rank; or the complete orthogonal
+decomposition of D, whose r-by-r triangle is rotated by its own SVD.
 """
 
 from dataclasses import dataclass, replace
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fullrank, linalg, model
-from .errors import DimensionError, NoSolutionError, RankDeficiencyError
+from .errors import DimensionError, NoSolutionError
 
 __all__ = [
     "BlockPartition",
@@ -97,7 +100,10 @@ def default_delta(b) -> float:
     return 1e-8 * max(1.0, float(np.linalg.norm(np.asarray(b))))
 
 
-def _blocks(basis_u: np.ndarray, b: np.ndarray, r: int, s: np.ndarray) -> BlockPartition:
+def _blocks(
+    basis_u: np.ndarray, p: model.ProblemInstance, r: int, s: np.ndarray
+) -> BlockPartition:
+    b = linalg.symmetrize(p.t.T @ p.t)
     bt = basis_u.T @ b @ basis_u
     return BlockPartition(
         r=r,
@@ -110,40 +116,28 @@ def _blocks(basis_u: np.ndarray, b: np.ndarray, r: int, s: np.ndarray) -> BlockP
 
 
 def partition_spectral(p: model.ProblemInstance, rank_tol: float | None = None) -> BlockPartition:
-    """Build the block partition from the spectral decomposition of A = D^T D."""
-    g = model.gram_pair(p)
-    sf = linalg.spectral_decompose(g.a)
-    r = linalg.numeric_rank(p.d, rank_tol)
-    lead = sf.eigenvalues[:r]
-    if r and lead[-1] <= 0.0:
-        raise RankDeficiencyError(
-            "eigenvalues of D^T D are not resolvable at this rank; increase rank_tol"
-        )
-    return _blocks(sf.u, g.b, r, np.sqrt(lead))
+    """Build the block partition from the eigenpairs of A = D^T D.
+
+    They are read from the SVD of D's triangular factor,
+    A = V diag(s**2) V^T, and the same singular values decide the rank.
+    """
+    f = linalg.qr_svd_decompose(p.d, rank_tol)
+    return _blocks(f.v, p, f.rank, f.s[: f.rank])
 
 
 def partition_cod(p: model.ProblemInstance, rank_tol: float | None = None) -> BlockPartition:
     """Build the block partition from the complete orthogonal decomposition of D.
 
-    The leading basis columns are V_r rotated so that the nonzero block of
-    A becomes diagonal, giving the same contract as partition_spectral.
+    The leading basis columns are V_r rotated by the right singular vectors
+    of the r-by-r triangle, so that the nonzero block of A becomes
+    diagonal, giving the same contract as partition_spectral.
     """
     cod = linalg.complete_orthogonal_decompose(p.d, rank_tol)
     r = cod.rank
     basis = cod.v.copy()
-    if r:
-        rtr = linalg.symmetrize(cod.r_block.T @ cod.r_block)
-        sf = linalg.spectral_decompose(rtr)
-        if sf.eigenvalues[-1] <= 0.0:
-            raise RankDeficiencyError(
-                "triangular COD block is not resolvable at this rank; increase rank_tol"
-            )
-        basis[:, :r] = basis[:, :r] @ sf.u
-        s = np.sqrt(sf.eigenvalues)
-    else:
-        s = np.zeros(0)
-    b = linalg.symmetrize(p.t.T @ p.t)
-    return _blocks(basis, b, r, s)
+    _, s, wt = np.linalg.svd(cod.r_block)
+    basis[:, :r] = basis[:, :r] @ wt.T
+    return _blocks(basis, p, r, s)
 
 
 def check_consistency(bp: BlockPartition, b, delta: float) -> ConsistencyReport:
@@ -245,7 +239,7 @@ def solve_rankdef(
         )
     xt = np.zeros((n, n))
     if r:
-        x_rr = fullrank.spd_root(np.diag(bp.s), bp.b_rr)
+        x_rr = fullrank.spd_root_diag(bp.s, bp.b_rr)
         l_rr = linalg.cholesky(x_rr).l
         xt[:r, :r] = x_rr
         if n > r:

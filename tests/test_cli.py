@@ -117,10 +117,13 @@ def test_invalid_inputs_exit_3(tmp_path):
 
 @pytest.mark.parametrize("flag", ["--rank-tol", "--delta"])
 def test_nan_tolerance_exit_3(tmp_path, flag):
-    io.write_matrix(tmp_path / "D.mtx", np.diag([1.0, 1.0, 0.0]))
-    io.write_matrix(tmp_path / "T.mtx", np.diag([2.0, 3.0, 0.0]))
-    assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx",
-                flag, "nan"]) == 3
+    # Rejected at parse time, also on full-rank data, where delta is unused.
+    for d, t in [(np.diag([1.0, 1.0, 0.0]), np.diag([2.0, 3.0, 0.0])), (np.eye(3), np.eye(3))]:
+        io.write_matrix(tmp_path / "D.mtx", d)
+        io.write_matrix(tmp_path / "T.mtx", t)
+        for value in ("nan", "-1"):
+            assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx",
+                        flag, value]) == 3
 
 
 def test_forced_qr_on_rank_deficient_is_invalid(tmp_path):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -154,3 +156,26 @@ def test_rank_deficient_target_raises_not_pd():
     for solve in SOLVERS:
         with pytest.raises(NotPositiveDefiniteError):
             solve(p)
+
+
+@pytest.mark.parametrize(
+    "d_diag,t_diag",
+    [((1.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, 0.0))],
+    ids=["deficient_d", "deficient_t"],
+)
+def test_kept_refusal_does_not_hold_the_factor(monkeypatch, d_diag, t_diag):
+    # A caller may keep refusals (a benchmark keeps a pass's outcomes); the
+    # factor of D must not stay alive through the exception's traceback.
+    factors = []
+    factor = linalg.qr_svd_decompose
+
+    def tracked(*args):
+        f = factor(*args)
+        factors.append(weakref.ref(f))
+        return f
+
+    monkeypatch.setattr(linalg, "qr_svd_decompose", tracked)
+    p = model.ProblemInstance(d=np.diag(d_diag), t=np.diag(t_diag))
+    with pytest.raises((RankDeficiencyError, NotPositiveDefiniteError)) as kept:
+        fullrank.solve_qr(p)
+    assert kept.value.__traceback__ is not None and factors[0]() is None

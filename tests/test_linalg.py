@@ -158,6 +158,7 @@ def test_cod_rank_uses_tolerance_of_input_shape():
     a = (left * np.array([1.0, 0.5, 0.2, 0.1, 1e-8])) @ right.T
     assert linalg.numeric_rank(a) == 4
     assert linalg.complete_orthogonal_decompose(a).rank == linalg.numeric_rank(a)
+    assert linalg.qr_svd_decompose(a).rank == 4
 
 
 def test_solve_triangular_identity():
@@ -179,6 +180,33 @@ def test_solve_triangular_singular():
 def test_solve_triangular_numerically_singular():
     with pytest.raises(SingularTriangularError):
         linalg.solve_triangular(np.diag([1.0, 1e-300]), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("m,n", [(10, 4), (300, 200)])
+def test_qr_svd_factors(m, n):
+    rng = np.random.default_rng(m + n)
+    a = rng.standard_normal((m, n))
+    f = linalg.qr_svd_decompose(a)
+    # Same Householder QR as qr_decompose up to row signs: bitwise so with
+    # one BLAS thread.
+    signed = f.r * np.copysign(1.0, f.r.diagonal())[:, None]
+    assert np.array_equal(f.r, np.triu(f.r))
+    assert np.linalg.norm(signed - linalg.qr_decompose(a).r) <= 1e-14 * np.linalg.norm(a)
+    assert np.all(np.diff(f.s) <= 0) and f.rank == n
+    assert np.linalg.norm(f.v.T @ f.v - np.eye(n)) <= 1e-11 * n
+    gram = a.T @ a
+    assert np.linalg.norm((f.v * f.s**2) @ f.v.T - gram) <= 1e-12 * np.linalg.norm(gram)
+    low = a[:, : n // 2] @ rng.standard_normal((n // 2, n))
+    assert linalg.qr_svd_decompose(low).rank == linalg.numeric_rank(low) == n // 2
+    with pytest.raises(ValueError):
+        linalg.qr_svd_decompose(a, np.nan)
+
+
+def test_qr_svd_edge_shapes():
+    with pytest.raises(DimensionError):
+        linalg.qr_svd_decompose(np.ones((2, 3)))
+    assert linalg.qr_svd_decompose(np.zeros((3, 0))).rank == 0
+    assert linalg.qr_svd_decompose(np.zeros((3, 2))).rank == 0
 
 
 @pytest.mark.parametrize("m,n", [(10, 4), (50, 20), (200, 100)])

@@ -123,13 +123,13 @@ def test_check_consistency_generator_round_trip():
 
 
 def test_core_root_rejects_indefinite_block():
-    # The r-by-r core is rooted as solve_rankdef does it, with R = diag(s).
+    # The r-by-r core is rooted as solve_rankdef does it.
     bp = rankdef.BlockPartition(
         r=2, b_rr=np.diag([1.0, -1.0]), b_rn=np.zeros((2, 0)), b_nn=np.zeros((0, 0)),
         s=np.ones(2), basis_u=np.eye(2),
     )
     with pytest.raises(NotPositiveDefiniteError):
-        fullrank.spd_root(np.diag(bp.s), bp.b_rr)
+        fullrank.spd_root_diag(bp.s, bp.b_rr)
 
 
 @pytest.mark.parametrize("route", ["spectral", "cod"])
@@ -148,9 +148,55 @@ def test_solve_rankdef_is_one_pass(route, spy):
     p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=12, n=5, r=3, seed=31))
     solve_qr = spy(fullrank, "solve_qr")
     make_solution = spy(model, "make_solution")
-    numeric_rank = spy(linalg, "numeric_rank")
+    name = "qr_svd_decompose" if route == "spectral" else "complete_orthogonal_decompose"
+    factor = spy(linalg, name)
     rankdef.solve_rankdef(p, route=route)
-    assert (solve_qr.call_count, make_solution.call_count, numeric_rank.call_count) == (0, 1, 1)
+    assert (solve_qr.call_count, make_solution.call_count, factor.call_count) == (0, 1, 1)
+
+
+ROUTES = {
+    "qr": fullrank.solve_qr,
+    "spectral": fullrank.solve_spectral,
+    "rankdef_spectral": lambda p: rankdef.solve_rankdef(p, route="spectral"),
+    "rankdef_cod": lambda p: rankdef.solve_rankdef(p, route="cod"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_each_route_factors_d_once(route, spy):
+    if route.startswith("rankdef"):
+        p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=12, n=5, r=3, seed=31))
+    else:
+        p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=12, n=5, r=5, seed=31))
+    calls = {name: spy(linalg, name) for name in (
+        "qr_decompose", "qr_svd_decompose", "complete_orthogonal_decompose",
+        "numeric_rank", "spectral_decompose",
+    )}
+    ROUTES[route](p)
+    factors = [c.args[0] for name in ("qr_svd_decompose", "complete_orthogonal_decompose")
+               for c in calls[name].call_args_list]
+    assert len(factors) == 1 and factors[0] is p.d
+    assert calls["qr_decompose"].call_count == 0
+    ranked = [c.args[0] for c in calls["numeric_rank"].call_args_list]
+    if route == "rankdef_cod":
+        assert len(ranked) == 1 and ranked[0].shape == (p.n, p.n)
+    elif route == "rankdef_spectral":
+        assert ranked == []
+    else:
+        assert len(ranked) == 1 and ranked[0] is p.t
+    assert calls["spectral_decompose"].call_count == 1  # the root's own
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_routes_agree_at_wide_spectrum(seed):
+    # eig(A) spans 1..1e-12 on the row space: the rounding of a formed D^T D
+    # (~eps * ||A||) is ~2e-4 of its smallest eigenvalue, while the SVD of
+    # D's triangle resolves the singular value 1e-6 itself.
+    spec = generate.GeneratorSpec(m=40, n=8, r=4, seed=seed, spectrum_a=np.geomspace(1, 1e-12, 4))
+    p = generate.gen_consistent_rankdef(spec)
+    x_spectral = rankdef.solve_rankdef(p, route="spectral").x
+    x_cod = rankdef.solve_rankdef(p, route="cod").x
+    assert np.linalg.norm(x_spectral - x_cod) <= 1e-9 * np.linalg.norm(x_cod)
 
 
 def test_solve_rankdef_attaches_consistency_report():
