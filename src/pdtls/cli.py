@@ -126,7 +126,7 @@ def cmd_check(args) -> int:
     bp = rankdef.partition_spectral(p, args.rank_tol)
     b = linalg.symmetrize(p.t.T @ p.t)
     delta = args.delta if args.delta is not None else rankdef.default_delta(b)
-    check = rankdef.check_consistency(bp, b, delta)
+    check = rankdef.check_consistency(bp, delta)
     _emit_report(
         {
             "rank_r": bp.r,

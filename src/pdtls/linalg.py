@@ -23,7 +23,6 @@ __all__ = [
     "QrFactors",
     "QrSvdFactors",
     "SpectralFactors",
-    "CholeskyFactor",
     "CodFactors",
     "as_matrix",
     "default_rank_tol",
@@ -96,13 +95,6 @@ class SpectralFactors:
 
     u: np.ndarray
     eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower triangular l with positive diagonal such that l @ l.T = a."""
-
-    l: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -194,8 +186,8 @@ def spectral_decompose(a) -> SpectralFactors:
     return SpectralFactors(u=u[:, ::-1].copy(), eigenvalues=w[::-1].copy())
 
 
-def cholesky(a) -> CholeskyFactor:
-    """Cholesky factor l (lower triangular) of a symmetric positive definite matrix.
+def cholesky(a) -> np.ndarray:
+    """Lower triangular l with positive diagonal, l @ l.T = a, for an SPD matrix a.
 
     Raises
     ------
@@ -204,10 +196,9 @@ def cholesky(a) -> CholeskyFactor:
     """
     a = as_matrix(a)
     try:
-        l = np.linalg.cholesky(a)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
-    return CholeskyFactor(l=l)
 
 
 def numeric_rank(a, rank_tol: float | None = None) -> int:

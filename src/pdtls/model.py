@@ -95,7 +95,7 @@ def gram_pair(p: ProblemInstance) -> GramPair:
 
 def _chol_lower(x) -> np.ndarray:
     # SPD check and factor in one step; raises NotPositiveDefiniteError.
-    return linalg.cholesky(linalg.symmetrize(linalg.as_matrix(x))).l
+    return linalg.cholesky(linalg.symmetrize(linalg.as_matrix(x)))
 
 
 def error_trace(p: ProblemInstance, x) -> float:

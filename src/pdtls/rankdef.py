@@ -11,8 +11,9 @@ Xt = U^T X U and Bt = U^T B U:
 with S^2 the diagonal of positive eigenvalues of A.  (I) is an r-by-r
 full-rank instance of the same problem, solved by the spectral route's
 closed form S^{-1} (S Bt_rr S)^{1/2} S^{-1} (fullrank.spd_root_diag);
-(II) is a nonsingular linear system; (III) holds only when the data is
-consistent, which is tested against a threshold delta before solving.
+(II) is a nonsingular linear system; (III) is solvable only when the Schur
+complement B_nn - B_rn^T B_rr^{-1} B_rn of B_rr in Bt vanishes, which is
+tested against a threshold delta before solving.
 The trailing diagonal block of Xt is free: any nonsingular lower
 triangular L_free yields an SPD completion via the block Cholesky
 identities
@@ -140,52 +141,35 @@ def partition_cod(p: model.ProblemInstance, rank_tol: float | None = None) -> Bl
     return _blocks(basis, p, r, s)
 
 
-def check_consistency(bp: BlockPartition, b, delta: float) -> ConsistencyReport:
-    """Threshold test for existence of an SPD solution.
+def check_consistency(bp: BlockPartition, delta: float) -> ConsistencyReport:
+    """Threshold test for existence of an SPD solution, read from the partition.
 
-    Measures f_norm = ||U_nr^T (B U_r (U_r^T B U_r)^{-1} U_r^T B - B)||_F and
-    flags the instance consistent iff f_norm < delta.  A singular (or
-    numerically singular) leading block B_rr means the data cannot support
-    an SPD solution: reported inconsistent with f_norm and condition inf.
-    Raises ValueError unless delta > 0 (a NaN delta is rejected too).
+    (III) is solvable iff the Schur complement of B_rr in Bt vanishes, so
+    this measures f_norm = ||B_nn - B_rn^T B_rr^{-1} B_rn||_F and flags the
+    instance consistent iff f_norm < delta.  At r = 0 the complement is
+    B_nn itself, f_norm = ||B||_F and b_rr_condition is 1.0.  A numerically
+    singular leading block B_rr, at any rank r >= 1, means the data cannot
+    support an SPD solution: reported inconsistent with f_norm and
+    b_rr_condition both inf.  Raises ValueError unless delta > 0 (a NaN
+    delta is rejected too).
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    b = linalg.symmetrize(linalg.as_matrix(b))
-    n = bp.basis_u.shape[0]
     r = bp.r
-    if r == n:
-        # No trailing block: nothing to test, f_norm = 0 by convention.
-        cond = _spd_condition(bp.b_rr)
-        return ConsistencyReport(f_norm=0.0, delta=delta, consistent=True, b_rr_condition=cond)
-    if r == 0:
-        f_norm = float(np.linalg.norm(b))
-        return ConsistencyReport(
-            f_norm=f_norm, delta=delta, consistent=bool(f_norm < delta), b_rr_condition=1.0
-        )
-    sv = np.linalg.svd(bp.b_rr, compute_uv=False)
-    if sv[-1] <= r * np.finfo(float).eps * sv[0] or sv[0] == 0.0:
-        return ConsistencyReport(
-            f_norm=float("inf"), delta=delta, consistent=False, b_rr_condition=float("inf")
-        )
-    u_r = bp.basis_u[:, :r]
-    u_nr = bp.basis_u[:, r:]
-    k = b @ u_r  # n-by-r
-    m = k @ np.linalg.solve(bp.b_rr, k.T) - b
-    f_norm = float(np.linalg.norm(u_nr.T @ m))
+    schur = bp.b_nn
+    cond = 1.0
+    if r:
+        sv = np.linalg.svd(bp.b_rr, compute_uv=False)
+        if sv[-1] <= r * np.finfo(float).eps * sv[0]:
+            return ConsistencyReport(
+                f_norm=float("inf"), delta=delta, consistent=False, b_rr_condition=float("inf")
+            )
+        schur = schur - bp.b_rn.T @ np.linalg.solve(bp.b_rr, bp.b_rn)
+        cond = float(sv[0] / sv[-1])
+    f_norm = float(np.linalg.norm(schur))
     return ConsistencyReport(
-        f_norm=f_norm,
-        delta=delta,
-        consistent=bool(f_norm < delta),
-        b_rr_condition=float(sv[0] / sv[-1]),
+        f_norm=f_norm, delta=delta, consistent=bool(f_norm < delta), b_rr_condition=cond
     )
-
-
-def _spd_condition(b_rr: np.ndarray) -> float:
-    if b_rr.size == 0:
-        return 1.0
-    sv = np.linalg.svd(b_rr, compute_uv=False)
-    return float("inf") if sv[-1] == 0.0 else float(sv[0] / sv[-1])
 
 
 def solve_rankdef(
@@ -210,7 +194,8 @@ def solve_rankdef(
     Raises
     ------
     NoSolutionError
-        If the consistency test fails (report attached to the exception).
+        If the consistency test fails (report attached to the exception),
+        including when B_rr is numerically singular, at any rank.
     NotPositiveDefiniteError
         If the leading block B_rr is not SPD.
     """
@@ -223,8 +208,11 @@ def solve_rankdef(
     g = model.gram_pair(p)
     if delta is None:
         delta = default_delta(g.b)
-    report = check_consistency(bp, g.b, delta)
+    report = check_consistency(bp, delta)
     if not report.consistent:
+        # A caller that keeps the refusal keeps this frame; drop the
+        # partition and the Gram pair so that kept refusals do not hold them.
+        del bp, g
         raise NoSolutionError(
             f"inconsistent instance: f_norm={report.f_norm:.3e} >= delta={delta:.3e}",
             report=report,
@@ -240,7 +228,7 @@ def solve_rankdef(
     xt = np.zeros((n, n))
     if r:
         x_rr = fullrank.spd_root_diag(bp.s, bp.b_rr)
-        l_rr = linalg.cholesky(x_rr).l
+        l_rr = linalg.cholesky(x_rr)
         xt[:r, :r] = x_rr
         if n > r:
             # (II): Xt_rr (S^2 Xt_rn) = Bt_rn via two triangular solves,

@@ -131,7 +131,7 @@ def test_criterion_6_rankdef_pipeline(tmp_path):
         b = linalg.symmetrize(p.t.T @ p.t)
         delta = 1e-8 * np.linalg.norm(b)
         bp = rankdef.partition_spectral(p)
-        assert rankdef.check_consistency(bp, b, delta).consistent
+        assert rankdef.check_consistency(bp, delta).consistent
         for route in ("spectral", "cod"):
             sol = rankdef.solve_rankdef(p, route=route, delta=delta)
             assert sol.min_eigenvalue > 0

@@ -1,14 +1,37 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pdtls import io, linalg, model, rankdef
+from pdtls import generate, io, linalg, model, rankdef
 from pdtls.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_process(args):
+    """Exit code of ``python -m pdtls.cli`` run as a child process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    cmd = [sys.executable, "-m", "pdtls.cli", *(str(a) for a in args)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, check=False, timeout=120)
+    return proc.returncode
+
+
+def write_singular_target(out_dir, seed=0):
+    """D = I (full rank, r = n) with a singular B = T^T T: no SPD solution."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    q = generate.random_rotation(3, seed)
+    io.write_matrix(out_dir / "D.mtx", np.eye(3))
+    io.write_matrix(out_dir / "T.mtx", q @ np.diag([1.0, 1.0, 0.0]) @ q.T)
+    return out_dir / "D.mtx", out_dir / "T.mtx"
 
 
 def test_generate_check_solve_round_trip(tmp_path, capsys):
@@ -39,8 +62,28 @@ def test_generate_check_solve_round_trip(tmp_path, capsys):
 
     # The library attaches the same consistency test to its solution.
     sol = rankdef.solve_rankdef(p)
-    assert sol.consistency == rankdef.check_consistency(rankdef.partition_spectral(p), b, delta)
+    assert sol.consistency == rankdef.check_consistency(rankdef.partition_spectral(p), delta)
     assert report["f_norm"] == sol.consistency.f_norm
+
+
+def test_full_rank_d_singular_target_exit_2(tmp_path, capsys):
+    d, t = write_singular_target(tmp_path)
+    assert run(["check", "--data", d, "--target", t]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["rank_r"] == 3 and report["consistent"] is False
+    assert np.isinf(report["f_norm"]) and np.isinf(report["b_rr_condition"])
+    assert run(["solve", "--data", d, "--target", t, "--method", "rankdef-spectral"]) == 2
+
+
+def test_exit_codes_of_a_real_process(tmp_path):
+    assert run_process(["generate", "--m", 20, "--n", 5, "--rank", 3, "--seed", 7,
+                        "--out-dir", tmp_path]) == 0
+    d, t = tmp_path / "D.mtx", tmp_path / "T.mtx"
+    assert run_process(["solve", "--data", d, "--target", t,
+                        "--report", tmp_path / "report.json"]) == 0
+    sd, st = write_singular_target(tmp_path / "singular")
+    assert run_process(["check", "--data", sd, "--target", st]) == 2
+    assert run_process(["solve", "--data", d, "--target", t, "--delta", "nan"]) == 3
 
 
 def test_solve_rankdef_partitions_once(tmp_path, spy):

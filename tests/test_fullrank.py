@@ -133,7 +133,7 @@ def test_care_special_random_residual():
     gb = rng.standard_normal((n, n))
     a = ga @ ga.T + n * np.eye(n)
     b = gb @ gb.T + n * np.eye(n)
-    x = fullrank.spd_root(linalg.cholesky(a).l.T, b)
+    x = fullrank.spd_root(linalg.cholesky(a).T, b)
     assert np.linalg.norm(x @ a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 

@@ -83,7 +83,7 @@ def test_consistent_rankdef_ranks_and_consistency():
         assert linalg.numeric_rank(p.t) == 4
         bp = rankdef.partition_spectral(p)
         b = linalg.symmetrize(p.t.T @ p.t)
-        rep = rankdef.check_consistency(bp, b, 1e-8 * max(1.0, np.linalg.norm(b)))
+        rep = rankdef.check_consistency(bp, 1e-8 * max(1.0, np.linalg.norm(b)))
         assert rep.consistent
 
 
@@ -91,8 +91,7 @@ def test_consistent_rankdef_minimal_case():
     spec = generate.GeneratorSpec(m=4, n=2, r=1, seed=8)
     p = generate.gen_consistent_rankdef(spec)
     bp = rankdef.partition_spectral(p)
-    b = linalg.symmetrize(p.t.T @ p.t)
-    rep = rankdef.check_consistency(bp, b, 1e-10)
+    rep = rankdef.check_consistency(bp, 1e-10)
     assert rep.f_norm <= 1e-10
 
 
@@ -125,7 +124,7 @@ def test_noise_keeps_loose_consistency():
     p = generate.inject_noise(generate.gen_consistent_rankdef(spec), 1e-4, 14)
     bp = rankdef.partition_spectral(p, rank_tol=1e-3)
     b = linalg.symmetrize(p.t.T @ p.t)
-    rep = rankdef.check_consistency(bp, b, 1e-2 * max(1.0, np.linalg.norm(b)))
+    rep = rankdef.check_consistency(bp, 1e-2 * max(1.0, np.linalg.norm(b)))
     assert rep.f_norm > 0.0
     assert rep.consistent
 

@@ -72,13 +72,13 @@ def test_spectral_rejects_asymmetric():
 
 def test_cholesky_identity():
     f = linalg.cholesky(np.eye(2))
-    assert_allclose(f.l, np.eye(2))
+    assert_allclose(f, np.eye(2))
 
 
 def test_cholesky_hand_example():
     f = linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    assert_allclose(f.l, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-14)
-    assert_allclose(f.l @ f.l.T, [[4.0, 2.0], [2.0, 3.0]], atol=1e-14)
+    assert_allclose(f, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-14)
+    assert_allclose(f @ f.T, [[4.0, 2.0], [2.0, 3.0]], atol=1e-14)
 
 
 def test_cholesky_rejects_indefinite():
@@ -230,8 +230,8 @@ def test_roundtrip_property(m, n):
     g = rng.standard_normal((n, n))
     spd = g @ g.T + n * np.eye(n)
     cf = linalg.cholesky(spd)
-    assert np.linalg.norm(cf.l @ cf.l.T - spd) <= 1e-12 * np.linalg.norm(spd)
-    assert np.all(np.diag(cf.l) > 0)
+    assert np.linalg.norm(cf @ cf.T - spd) <= 1e-12 * np.linalg.norm(spd)
+    assert np.all(np.diag(cf) > 0)
 
     r = max(1, n // 2)
     low = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -13,6 +15,12 @@ def diag_problem(t_diag=(2.0, 0.0)):
 
 def gram_b(p):
     return linalg.symmetrize(p.t.T @ p.t)
+
+
+def singular_target_problem(seed):
+    # D = I has full rank, so r = n, yet B = T^T T is singular.
+    q = generate.random_rotation(3, seed)
+    return model.ProblemInstance(d=np.eye(3), t=q @ np.diag([1.0, 1.0, 0.0]) @ q.T)
 
 
 def test_partition_spectral_diagonal():
@@ -77,7 +85,7 @@ def test_partition_cod_zero_data():
 def test_check_consistency_supported_target():
     p = diag_problem((2.0, 0.0))
     bp = rankdef.partition_spectral(p)
-    rep = rankdef.check_consistency(bp, gram_b(p), 1e-8)
+    rep = rankdef.check_consistency(bp, 1e-8)
     assert rep.consistent
     assert rep.f_norm == pytest.approx(0.0, abs=1e-15)
 
@@ -85,8 +93,7 @@ def test_check_consistency_supported_target():
 def test_check_consistency_forced_inconsistent():
     p = diag_problem((2.0, 1.0))
     bp = rankdef.partition_spectral(p)
-    b = gram_b(p)
-    rep = rankdef.check_consistency(bp, b, rankdef.default_delta(b))
+    rep = rankdef.check_consistency(bp, rankdef.default_delta(gram_b(p)))
     assert not rep.consistent
     assert rep.f_norm == pytest.approx(1.0, abs=1e-12)
 
@@ -95,7 +102,7 @@ def test_check_consistency_forced_inconsistent():
 def test_check_consistency_rejects_bad_delta(delta):
     p = diag_problem()
     with pytest.raises(ValueError):
-        rankdef.check_consistency(rankdef.partition_spectral(p), gram_b(p), delta)
+        rankdef.check_consistency(rankdef.partition_spectral(p), delta)
 
 
 def test_check_consistency_singular_leading_block():
@@ -104,7 +111,7 @@ def test_check_consistency_singular_leading_block():
     t3 = np.diag([1.0, 0.0, 0.0])
     p3 = model.ProblemInstance(d=d3, t=t3)
     bp3 = rankdef.partition_spectral(p3)
-    rep = rankdef.check_consistency(bp3, gram_b(p3), 1e-8)
+    rep = rankdef.check_consistency(bp3, 1e-8)
     assert bp3.r == 2
     assert not rep.consistent
     assert np.isinf(rep.f_norm)
@@ -117,9 +124,54 @@ def test_check_consistency_generator_round_trip():
         p = generate.gen_consistent_rankdef(spec)
         bp = rankdef.partition_spectral(p)
         b = gram_b(p)
-        rep = rankdef.check_consistency(bp, b, 1e-8 * max(1.0, np.linalg.norm(b)))
+        rep = rankdef.check_consistency(bp, 1e-8 * max(1.0, np.linalg.norm(b)))
         assert rep.consistent
         assert rep.f_norm <= 1e-8 * np.linalg.norm(b)
+
+
+def n_row_f_norm(bp, b):
+    """Reference misfit from n-row products, ||U_nr^T (B U_r B_rr^{-1} U_r^T B - B)||_F.
+
+    Multiplied on the right by the orthogonal U, the matrix in the norm is
+    [0, -(B_nn - B_rn^T B_rr^{-1} B_rn)], so it equals the Schur-complement
+    norm that check_consistency reads from the partition.
+    """
+    u_r, u_nr = bp.basis_u[:, : bp.r], bp.basis_u[:, bp.r :]
+    k = b @ u_r
+    return float(np.linalg.norm(u_nr.T @ (k @ np.linalg.solve(bp.b_rr, k.T) - b)))
+
+
+def oracle_instances():
+    rng = np.random.default_rng(40)
+    yield model.ProblemInstance(d=np.zeros((9, 5)), t=rng.standard_normal((9, 5)))  # r = 0
+    d = rng.standard_normal((9, 2)) @ rng.standard_normal((2, 5))  # r = 2
+    yield model.ProblemInstance(d=d, t=rng.standard_normal((9, 5)))
+    yield model.ProblemInstance(d=rng.standard_normal((9, 5)), t=rng.standard_normal((9, 5)))
+    for seed in range(5):  # r = 3, consistent and with T perturbed at 1e-3 relative
+        p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=15, n=6, r=3, seed=seed))
+        noise = rng.standard_normal(p.t.shape)
+        yield p
+        yield model.ProblemInstance(
+            d=p.d, t=p.t + 1e-3 * np.linalg.norm(p.t) * noise / np.linalg.norm(noise)
+        )
+
+
+@pytest.mark.parametrize("route", ["spectral", "cod"])
+def test_check_consistency_matches_n_row_oracle(route):
+    partition = getattr(rankdef, f"partition_{route}")
+    ranks = set()
+    for p in oracle_instances():
+        b = gram_b(p)
+        bp = partition(p)
+        ranks.add(bp.r)
+        oracle = n_row_f_norm(bp, b)
+        f_norm = rankdef.check_consistency(bp, 1.0).f_norm
+        floor = 1e-12 * np.linalg.norm(b)
+        if oracle > floor:
+            assert abs(f_norm - oracle) <= 1e-9 * oracle
+        else:
+            assert f_norm <= floor
+    assert ranks == {0, 2, 3, 5}
 
 
 def test_core_root_rejects_indefinite_block():
@@ -225,6 +277,41 @@ def test_solve_rankdef_rejects_inconsistent():
     assert ei.value.report.f_norm >= ei.value.report.delta
 
 
+@pytest.mark.parametrize("route", ["spectral", "cod"])
+def test_full_rank_d_singular_target_refused(route):
+    # With r = n there is no (III), but B_rr = Bt is numerically singular, so
+    # no SPD X exists; the guard applies at every rank, r = n included.
+    for seed in range(5):
+        with pytest.raises(NoSolutionError) as ei:
+            rankdef.solve_rankdef(singular_target_problem(seed), route=route)
+        assert np.isinf(ei.value.report.f_norm)
+        assert np.isinf(ei.value.report.b_rr_condition)
+
+
+def test_kept_refusal_does_not_hold_the_partition(monkeypatch):
+    # A caller may keep refusals (a benchmark keeps a pass's outcomes); the
+    # partition and the Gram pair must not stay alive through the exception's
+    # traceback.
+    made = []
+
+    def track(module, name):
+        fn = getattr(module, name)
+
+        def tracked(*args):
+            out = fn(*args)
+            made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(module, name, tracked)
+
+    track(rankdef, "partition_spectral")
+    track(model, "gram_pair")
+    with pytest.raises(NoSolutionError) as kept:
+        rankdef.solve_rankdef(diag_problem((2.0, 1.0)))
+    assert kept.value.__traceback__ is not None and kept.value.report is not None
+    assert len(made) == 2 and [ref() for ref in made] == [None, None]
+
+
 def test_solve_rankdef_generator_blocks():
     spec = generate.GeneratorSpec(m=12, n=5, r=3, seed=31)
     p = generate.gen_consistent_rankdef(spec)
@@ -270,9 +357,8 @@ def test_threshold_monotonicity():
     spec = generate.GeneratorSpec(m=10, n=4, r=2, seed=34, noise_level=1e-6)
     p = generate.gen_consistent_rankdef(spec)
     bp = rankdef.partition_spectral(p, rank_tol=1e-3)
-    b = gram_b(p)
     deltas = np.geomspace(1e-14, 1.0, 15)
-    flags = [rankdef.check_consistency(bp, b, d).consistent for d in deltas]
+    flags = [rankdef.check_consistency(bp, d).consistent for d in deltas]
     # once consistent, consistent at every larger delta
     first = flags.index(True)
     assert all(flags[first:])
@@ -287,8 +373,7 @@ def test_noise_continuity_of_f_norm():
     for eps in (0.0, 1e-8, 1e-6, 1e-4):
         p_eps = model.ProblemInstance(d=p.d, t=p.t + eps * noise)
         bp = rankdef.partition_spectral(p_eps, rank_tol=1e-3)
-        b = gram_b(p_eps)
-        f_norms.append(rankdef.check_consistency(bp, b, 1.0).f_norm)
+        f_norms.append(rankdef.check_consistency(bp, 1.0).f_norm)
     assert f_norms[0] <= 1e-12
     assert all(a <= b + 1e-14 for a, b in zip(f_norms, f_norms[1:]))
 
