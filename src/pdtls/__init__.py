@@ -3,6 +3,7 @@ systems D X ~= T under an errors-in-variables model, with direct solvers
 for full-rank and rank-deficient data, a consistent-problem generator, and
 a Dolan-More benchmarking harness."""
 
+from .api import solve
 from .bench import (
     PerformanceProfile,
     RunRecord,
@@ -28,12 +29,10 @@ from .generate import (
     random_rotation,
 )
 from .model import (
-    GramPair,
     ProblemInstance,
     SpdSolution,
     error_frobenius,
     error_trace,
-    gram_pair,
     kkt_residual,
 )
 from .rankdef import (
@@ -55,7 +54,6 @@ __all__ = [
     "ConsistencyReport",
     "DimensionError",
     "GeneratorSpec",
-    "GramPair",
     "NoSolutionError",
     "NotPositiveDefiniteError",
     "PdtlsError",
@@ -72,13 +70,13 @@ __all__ = [
     "error_trace",
     "gen_consistent_rankdef",
     "gen_full_rank",
-    "gram_pair",
     "inject_noise",
     "kkt_residual",
     "partition_cod",
     "partition_spectral",
     "random_rotation",
     "run_suite",
+    "solve",
     "solve_qr",
     "solve_rankdef",
     "solve_spectral",

@@ -73,18 +73,19 @@ def error_entry_std(p: model.ProblemInstance, x) -> float:
 def baseline_ols_projection(p: model.ProblemInstance) -> model.SpdSolution:
     """Unconstrained least squares followed by SPD-cone projection.
 
-    Solves A X = D^T T, symmetrizes, clips eigenvalues at
-    1e-8 * lambda_max.  Raises numpy.linalg.LinAlgError when A is singular
-    and NotPositiveDefiniteError when the clipped matrix is still not SPD
-    (lambda_max <= 0).
+    Solves A X = D^T T with A = D^T D formed, symmetrizes, clips
+    eigenvalues at 1e-8 * lambda_max.  The diagnostics take A's Cholesky
+    factor.  Raises numpy.linalg.LinAlgError when A is singular and
+    NotPositiveDefiniteError when A has no Cholesky factor or the clipped
+    matrix is still not SPD (lambda_max <= 0).
     """
-    g = model.gram_pair(p)
-    x = np.linalg.solve(g.a, p.d.T @ p.t)
+    a = linalg.gram(p.d)
+    x = np.linalg.solve(a, p.d.T @ p.t)
     x = linalg.symmetrize(x)
     w, u = np.linalg.eigh(x)
     clip = 1e-8 * w.max()
     x = (u * np.maximum(w, clip)) @ u.T
-    return model.make_solution(p, g, x, "baseline")
+    return model.make_solution(p, linalg.cholesky(a).T, linalg.gram(p.t), x, "baseline")
 
 
 def run_suite(problems, solvers, repetitions: int = 3) -> list[RunRecord]:

@@ -10,7 +10,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import bench, fullrank, generate, io, linalg, model, rankdef
+from . import api, bench, generate, io, model, rankdef
 from .errors import (
     DimensionError,
     NoSolutionError,
@@ -57,17 +57,13 @@ def _load_instance(args) -> model.ProblemInstance:
 
 
 def _solver_registry(delta, rank_tol):
-    return {
-        "qr": lambda p: fullrank.solve_qr(p, rank_tol),
-        "spectral": lambda p: fullrank.solve_spectral(p, rank_tol),
-        "rankdef_spectral": lambda p: rankdef.solve_rankdef(
-            p, route="spectral", delta=delta, rank_tol=rank_tol
-        ),
-        "rankdef_cod": lambda p: rankdef.solve_rankdef(
-            p, route="cod", delta=delta, rank_tol=rank_tol
-        ),
-        "baseline": bench.baseline_ols_projection,
+    registry = {
+        method: lambda p, method=method: api.solve(p, method, rank_tol=rank_tol, delta=delta)
+        for method in api.METHODS
+        if method != "auto"
     }
+    registry["baseline"] = bench.baseline_ols_projection
+    return registry
 
 
 def _consistency_fields(check) -> dict:
@@ -79,19 +75,18 @@ def _consistency_fields(check) -> dict:
 
 def cmd_solve(args) -> int:
     p = _load_instance(args)
-    rank_r = linalg.numeric_rank(p.d, args.rank_tol)
-    method = args.method
-    if method == "auto":
-        method = "qr" if rank_r == p.n else "rankdef-spectral"
-    solve = _solver_registry(args.delta, args.rank_tol)[method.replace("-", "_")]
-    report = {"method": method, "rank_r": rank_r}
     try:
-        sol = solve(p)
+        sol = api.solve(p, args.method, rank_tol=args.rank_tol, delta=args.delta)
     except NoSolutionError as exc:
+        # Only the rank-deficient routes test consistency, and "auto" takes
+        # the spectral one.
+        method = "rankdef-spectral" if args.method == "auto" else args.method
+        report = {"method": method, "rank_r": exc.report.rank}
         report.update(_consistency_fields(exc.report), E=None, kkt_residual=None, min_eigenvalue=None)
         _emit_report(report, args.report)
         print("no SPD solution: consistency test failed", file=sys.stderr)
         return EXIT_NO_SOLUTION
+    report = {"method": sol.method_tag.replace("_", "-"), "rank_r": sol.rank}
     report.update(
         _consistency_fields(sol.consistency),
         E=sol.error_value,
@@ -124,8 +119,7 @@ def cmd_generate(args) -> int:
 def cmd_check(args) -> int:
     p = _load_instance(args)
     bp = rankdef.partition_spectral(p, args.rank_tol)
-    b = linalg.symmetrize(p.t.T @ p.t)
-    delta = args.delta if args.delta is not None else rankdef.default_delta(b)
+    delta = args.delta if args.delta is not None else rankdef.default_delta(bp.b)
     check = rankdef.check_consistency(bp, delta)
     _emit_report(
         {

@@ -11,9 +11,10 @@ That factor also decides the rank of D; one SVD of T decides T's rank.
   X* = V S^{-1} U~ S~ U~^T S^{-1} V^T (spd_root_diag, conjugated by V).
 
 The QR route is the default.  Inverses of R and S are applied via
-triangular/diagonal solves, never formed.  The spectral route's closed
-form, spd_root_diag, also solves the r-by-r core of the rank-deficient
-pipeline.
+triangular/diagonal solves, never formed.  B = T^T T is formed once per
+solve, and the diagnostics take it and R as the factor of A.  The spectral
+route's closed form, spd_root_diag, also solves the r-by-r core of the
+rank-deficient pipeline.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import linalg, model
 from .errors import NotPositiveDefiniteError, RankDeficiencyError
 
-__all__ = ["spd_root", "spd_root_diag", "solve_qr", "solve_spectral"]
+__all__ = ["spd_root", "spd_root_diag", "solve_qr", "solve_spectral", "solve_factored"]
 
 
 def spd_root(r_upper: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -57,37 +58,49 @@ def spd_root_diag(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     return core / s[:, None] / s[None, :]
 
 
-def _factor_data(p: model.ProblemInstance, rank_tol: float | None) -> linalg.QrSvdFactors:
-    """Factor D once; refuse D or T of deficient numeric rank."""
-    f = linalg.qr_svd_decompose(p.d, rank_tol)
-    d_full = f.rank == p.n
-    if d_full and linalg.numeric_rank(p.t, rank_tol) == p.n:
-        return f
-    # A caller that keeps the refusal keeps this frame; drop the factor so
-    # that kept refusals do not hold its arrays.
-    del f
-    if not d_full:
-        raise RankDeficiencyError(
-            "data matrix is numerically rank deficient; use the rank-deficient solver"
-        )
-    raise NotPositiveDefiniteError(
-        "target matrix is numerically rank deficient, so T^T T is singular "
-        "and no SPD solution of X A X = B exists"
-    )
-
-
 def solve_qr(p: model.ProblemInstance, rank_tol: float | None = None) -> model.SpdSolution:
     """Solve via the triangular factor R of D = Q R (default method)."""
-    f = _factor_data(p, rank_tol)
-    g = model.gram_pair(p)
-    x = spd_root(f.r, g.b)
-    return model.make_solution(p, g, x, "qr")
+    return solve_factored(p, linalg.qr_svd_decompose(p.d, rank_tol), "qr", rank_tol)
 
 
 def solve_spectral(p: model.ProblemInstance, rank_tol: float | None = None) -> model.SpdSolution:
     """Solve via the eigenpairs of A = D^T D, read from the SVD of D's R."""
-    f = _factor_data(p, rank_tol)
-    g = model.gram_pair(p)
-    core = spd_root_diag(f.s, f.v.T @ g.b @ f.v)
-    x = f.v @ core @ f.v.T
-    return model.make_solution(p, g, x, "spectral")
+    return solve_factored(p, linalg.qr_svd_decompose(p.d, rank_tol), "spectral", rank_tol)
+
+
+def solve_factored(
+    p: model.ProblemInstance,
+    f: linalg.QrSvdFactors,
+    route: str,
+    rank_tol: float | None = None,
+) -> model.SpdSolution:
+    """Solve along ``route`` ("qr" or "spectral") from D's factor f.
+
+    f is ``linalg.qr_svd_decompose(p.d, rank_tol)``, computed by the caller;
+    rank_tol also decides T's rank.  B = T^T T is formed once and serves
+    the root and the diagnostics, whose factor of A is f.r.
+
+    Raises RankDeficiencyError when D, and NotPositiveDefiniteError when T,
+    is numerically rank deficient.
+    """
+    if route not in ("qr", "spectral"):
+        raise ValueError(f"unknown route {route!r}; expected 'qr' or 'spectral'")
+    d_full = f.rank == p.n
+    if not (d_full and linalg.numeric_rank(p.t, rank_tol) == p.n):
+        # A caller that keeps the refusal keeps this frame; drop the factor so
+        # that kept refusals do not hold its arrays.
+        del f
+        if not d_full:
+            raise RankDeficiencyError(
+                "data matrix is numerically rank deficient; use the rank-deficient solver"
+            )
+        raise NotPositiveDefiniteError(
+            "target matrix is numerically rank deficient, so T^T T is singular "
+            "and no SPD solution of X A X = B exists"
+        )
+    b = linalg.gram(p.t)
+    if route == "qr":
+        x = spd_root(f.r, b)
+    else:
+        x = f.v @ spd_root_diag(f.s, f.v.T @ b @ f.v) @ f.v.T
+    return model.make_solution(p, f.r, b, x, route)

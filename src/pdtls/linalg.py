@@ -26,6 +26,7 @@ __all__ = [
     "CodFactors",
     "as_matrix",
     "default_rank_tol",
+    "gram",
     "qr_decompose",
     "qr_svd_decompose",
     "spectral_decompose",
@@ -52,6 +53,11 @@ def as_matrix(a) -> np.ndarray:
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return (a + a^T) / 2."""
     return 0.5 * (a + a.T)
+
+
+def gram(a: np.ndarray) -> np.ndarray:
+    """Return the symmetrized Gram matrix a^T a of a tall matrix (~mn^2 flops)."""
+    return symmetrize(a.T @ a)
 
 
 def default_rank_tol(a: np.ndarray) -> float:

@@ -9,12 +9,20 @@ which for SPD X equals ||D Y - T Y^{-T}||_F^2 with X = Y Y^T.  Both forms
 are implemented; they agree to rounding and E >= 0 with E = 0 iff D X = T.
 The stationarity condition of the reduced problem min tr(A X + X^{-1} B)
 is the quadratic matrix equation X A X = B with A = D^T D and B = T^T T.
+
+No solve forms A.  make_solution takes the route's own factor f of A
+(f^T f = A) and the B the route formed.  It reads E(X) in the second form,
+from one triangular product with D and one triangular solve with T: the
+only m-row work after X is known.  The stationarity residual is measured
+as ||(f X)^T (f X) - B||_F, which is n-sized.  error_trace is an
+independent oracle for tests.
 """
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import linalg
 from .errors import DimensionError, NotPositiveDefiniteError
@@ -24,9 +32,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ProblemInstance",
-    "GramPair",
     "SpdSolution",
-    "gram_pair",
     "error_trace",
     "error_frobenius",
     "kkt_residual",
@@ -60,21 +66,15 @@ class ProblemInstance:
 
 
 @dataclass(frozen=True)
-class GramPair:
-    """a = d^T d and b = t^T t, the inputs of the reduced trace problem."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpdSolution:
     """A computed SPD solution with its diagnostics.
 
     method_tag is one of "qr", "spectral", "rankdef_spectral", "rankdef_cod"
     (or "baseline" for the comparison solver in the bench module).
-    consistency is the rankdef.ConsistencyReport that admitted a
-    rank-deficient solve, and None on the other routes.
+    rank is the rank of D the route solved at: n on the full-rank routes,
+    the partition's r on the rank-deficient ones.  consistency is the
+    rankdef.ConsistencyReport that admitted a rank-deficient solve, and
+    None on the other routes.
     """
 
     x: np.ndarray
@@ -82,15 +82,8 @@ class SpdSolution:
     kkt_residual: float
     min_eigenvalue: float
     method_tag: str
+    rank: int
     consistency: "ConsistencyReport | None" = None
-
-
-def gram_pair(p: ProblemInstance) -> GramPair:
-    """Form the Gram matrices a = d^T d, b = t^T t (symmetrized)."""
-    return GramPair(
-        a=linalg.symmetrize(p.d.T @ p.d),
-        b=linalg.symmetrize(p.t.T @ p.t),
-    )
 
 
 def _chol_lower(x) -> np.ndarray:
@@ -112,26 +105,51 @@ def error_trace(p: ProblemInstance, x) -> float:
     return float(np.sum((p.d @ x - p.t) * (p.d - txinv)))
 
 
+def _error_of_factor(p: ProblemInstance, y: np.ndarray) -> float:
+    """||D Y - T Y^{-T}||_F^2 for a lower triangular Y.
+
+    Both terms are formed transposed, n-by-m: Y^T D^T as a triangular
+    product (half a general product's flops) and Y^{-1} T^T by a triangular
+    solve, so D^T and T^T are read in place and the difference is taken in
+    the first term's storage.
+    """
+    res = blas.dtrmm(1.0, y, p.d.T, lower=1, trans_a=1)
+    res -= linalg.solve_triangular(y, p.t.T, lower=True)
+    v = res.ravel(order="K")
+    return float(v @ v)
+
+
 def error_frobenius(p: ProblemInstance, x) -> float:
     """E(X) = ||D Y - T Y^{-T}||_F^2 with Y the lower Cholesky factor of X."""
-    y = _chol_lower(x)
-    # t @ y^{-T} = (y^{-1} t^T)^T
-    tyinvt = linalg.solve_triangular(y, p.t.T, lower=True).T
-    return float(np.linalg.norm(p.d @ y - tyinvt) ** 2)
+    return _error_of_factor(p, _chol_lower(x))
 
 
-def kkt_residual(g: GramPair, x) -> float:
-    """Relative stationarity residual ||x a x - b||_F / max(1, ||b||_F)."""
-    x = linalg.as_matrix(x)
-    res = x @ g.a @ x - g.b
-    return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(g.b)))
+def kkt_residual(f, b, x) -> float:
+    """Relative stationarity residual ||x a x - b||_F / max(1, ||b||_F), a = f^T f.
+
+    x a x = (f x)^T (f x) is formed from the factor f, never from a, so the
+    rounding of a formed a (~eps ||a||) does not enter.
+    """
+    fx = f @ linalg.as_matrix(x)
+    res = fx.T @ fx - b
+    return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(b)))
 
 
-def make_solution(p: ProblemInstance, g: GramPair, x: np.ndarray, method_tag: str) -> SpdSolution:
+def make_solution(
+    p: ProblemInstance,
+    f: np.ndarray,
+    b: np.ndarray,
+    x: np.ndarray,
+    method_tag: str,
+    consistency: "ConsistencyReport | None" = None,
+) -> SpdSolution:
     """Symmetrize a computed solution, validate positive definiteness, and
     attach the error value and residual diagnostics.
 
-    g is the Gram pair of p that the solver already formed.
+    f is the route's factor of A (f^T f = A, n columns) and b the B = T^T T
+    it formed; neither is formed again.  consistency is the report that
+    admitted a rank-deficient solve, whose rank the solution carries; the
+    rank is n without one.
     """
     x = linalg.symmetrize(linalg.as_matrix(x))
     min_eig = float(np.linalg.eigvalsh(x).min())
@@ -141,8 +159,10 @@ def make_solution(p: ProblemInstance, g: GramPair, x: np.ndarray, method_tag: st
         )
     return SpdSolution(
         x=x,
-        error_value=error_trace(p, x),
-        kkt_residual=kkt_residual(g, x),
+        error_value=_error_of_factor(p, linalg.cholesky(x)),
+        kkt_residual=kkt_residual(f, b, x),
         min_eigenvalue=min_eig,
         method_tag=method_tag,
+        rank=p.n if consistency is None else consistency.rank,
+        consistency=consistency,
     )

@@ -25,9 +25,11 @@ Two routes build the basis U, neither forming A: the SVD of the triangle
 R of D = Q R, whose right singular vectors are the eigenvectors of A and
 whose singular values decide the rank; or the complete orthogonal
 decomposition of D, whose r-by-r triangle is rotated by its own SVD.
+Each partition forms B = T^T T once and keeps it, with its factor of A,
+for the consistency threshold and the solution's diagnostics.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "partition_cod",
     "check_consistency",
     "solve_rankdef",
+    "solve_partition",
     "block_residuals",
 ]
 
@@ -53,7 +56,9 @@ class BlockPartition:
 
     basis_u is n-by-n orthonormal; its first r columns span the row space
     of D and diagonalize the nonzero part of A with eigenvalues s**2.
-    b_rr, b_rn, b_nn are the blocks of basis_u^T B basis_u.
+    b_rr, b_rn, b_nn are the blocks of basis_u^T B basis_u.  b is B = T^T T
+    itself, and factor is the partition's factor of A (factor^T factor = A,
+    n columns).
     """
 
     r: int
@@ -62,16 +67,22 @@ class BlockPartition:
     b_nn: np.ndarray
     s: np.ndarray
     basis_u: np.ndarray
+    b: np.ndarray
+    factor: np.ndarray
 
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Outcome of the solvability test for a rank-deficient instance."""
+    """Outcome of the solvability test for a rank-deficient instance.
+
+    rank is the rank r of D at which the partition was tested.
+    """
 
     f_norm: float
     delta: float
     consistent: bool
     b_rr_condition: float
+    rank: int
 
 
 @dataclass(frozen=True)
@@ -102,9 +113,8 @@ def default_delta(b) -> float:
 
 
 def _blocks(
-    basis_u: np.ndarray, p: model.ProblemInstance, r: int, s: np.ndarray
+    basis_u: np.ndarray, b: np.ndarray, r: int, s: np.ndarray, factor: np.ndarray
 ) -> BlockPartition:
-    b = linalg.symmetrize(p.t.T @ p.t)
     bt = basis_u.T @ b @ basis_u
     return BlockPartition(
         r=r,
@@ -113,17 +123,25 @@ def _blocks(
         b_nn=linalg.symmetrize(bt[r:, r:]),
         s=s,
         basis_u=basis_u,
+        b=b,
+        factor=factor,
     )
 
 
-def partition_spectral(p: model.ProblemInstance, rank_tol: float | None = None) -> BlockPartition:
+def partition_spectral(
+    p: model.ProblemInstance,
+    rank_tol: float | None = None,
+    factor: linalg.QrSvdFactors | None = None,
+) -> BlockPartition:
     """Build the block partition from the eigenpairs of A = D^T D.
 
     They are read from the SVD of D's triangular factor,
     A = V diag(s**2) V^T, and the same singular values decide the rank.
+    factor, when given, is that ``linalg.qr_svd_decompose(p.d, rank_tol)``,
+    already computed by the caller.  D's triangle is the factor of A.
     """
-    f = linalg.qr_svd_decompose(p.d, rank_tol)
-    return _blocks(f.v, p, f.rank, f.s[: f.rank])
+    f = linalg.qr_svd_decompose(p.d, rank_tol) if factor is None else factor
+    return _blocks(f.v, linalg.gram(p.t), f.rank, f.s[: f.rank], f.r)
 
 
 def partition_cod(p: model.ProblemInstance, rank_tol: float | None = None) -> BlockPartition:
@@ -138,7 +156,9 @@ def partition_cod(p: model.ProblemInstance, rank_tol: float | None = None) -> Bl
     basis = cod.v.copy()
     _, s, wt = np.linalg.svd(cod.r_block)
     basis[:, :r] = basis[:, :r] @ wt.T
-    return _blocks(basis, p, r, s)
+    # D V = [U_r R, 0] gives A = (R V_r^T)^T (R V_r^T), R the COD's triangle.
+    factor = cod.r_block @ cod.v[:, :r].T
+    return _blocks(basis, linalg.gram(p.t), r, s, factor)
 
 
 def check_consistency(bp: BlockPartition, delta: float) -> ConsistencyReport:
@@ -162,13 +182,14 @@ def check_consistency(bp: BlockPartition, delta: float) -> ConsistencyReport:
         sv = np.linalg.svd(bp.b_rr, compute_uv=False)
         if sv[-1] <= r * np.finfo(float).eps * sv[0]:
             return ConsistencyReport(
-                f_norm=float("inf"), delta=delta, consistent=False, b_rr_condition=float("inf")
+                f_norm=float("inf"), delta=delta, consistent=False,
+                b_rr_condition=float("inf"), rank=r,
             )
         schur = schur - bp.b_rn.T @ np.linalg.solve(bp.b_rr, bp.b_rn)
         cond = float(sv[0] / sv[-1])
     f_norm = float(np.linalg.norm(schur))
     return ConsistencyReport(
-        f_norm=f_norm, delta=delta, consistent=bool(f_norm < delta), b_rr_condition=cond
+        f_norm=f_norm, delta=delta, consistent=bool(f_norm < delta), b_rr_condition=cond, rank=r
     )
 
 
@@ -199,20 +220,38 @@ def solve_rankdef(
     NotPositiveDefiniteError
         If the leading block B_rr is not SPD.
     """
+    # The partition is passed on, not kept here: a caller that keeps a
+    # refusal keeps this frame.
     if route == "spectral":
-        bp = partition_spectral(p, rank_tol)
-    elif route == "cod":
-        bp = partition_cod(p, rank_tol)
-    else:
+        return solve_partition(p, partition_spectral(p, rank_tol), route, choice, delta)
+    if route == "cod":
+        return solve_partition(p, partition_cod(p, rank_tol), route, choice, delta)
+    raise ValueError(f"unknown route {route!r}; expected 'spectral' or 'cod'")
+
+
+def solve_partition(
+    p: model.ProblemInstance,
+    bp: BlockPartition,
+    route: str,
+    choice: CompletionChoice | None = None,
+    delta: float | None = None,
+) -> model.SpdSolution:
+    """Solve the rank-deficient problem from its partition.
+
+    bp is p's partition along ``route``: partition_spectral's for
+    "spectral", partition_cod's for "cod".  Its B sets the default delta and,
+    with its factor of A, the solution's diagnostics.  choice, delta, the
+    return value and the refusals are as in solve_rankdef.
+    """
+    if route not in ("spectral", "cod"):
         raise ValueError(f"unknown route {route!r}; expected 'spectral' or 'cod'")
-    g = model.gram_pair(p)
     if delta is None:
-        delta = default_delta(g.b)
+        delta = default_delta(bp.b)
     report = check_consistency(bp, delta)
     if not report.consistent:
         # A caller that keeps the refusal keeps this frame; drop the
-        # partition and the Gram pair so that kept refusals do not hold them.
-        del bp, g
+        # partition so that kept refusals do not hold it.
+        del bp
         raise NoSolutionError(
             f"inconsistent instance: f_norm={report.f_norm:.3e} >= delta={delta:.3e}",
             report=report,
@@ -244,8 +283,7 @@ def solve_rankdef(
     else:
         xt[:, :] = choice.l_free @ choice.l_free.T
     x = bp.basis_u @ xt @ bp.basis_u.T
-    tag = "rankdef_spectral" if route == "spectral" else "rankdef_cod"
-    return replace(model.make_solution(p, g, x, tag), consistency=report)
+    return model.make_solution(p, bp.factor, bp.b, x, f"rankdef_{route}", report)
 
 
 def block_residuals(bp: BlockPartition, x) -> tuple[float, float]:

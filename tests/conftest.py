@@ -1,6 +1,9 @@
 from unittest import mock
 
+import numpy as np
 import pytest
+
+from pdtls import model
 
 
 @pytest.fixture
@@ -16,3 +19,44 @@ def spy(monkeypatch):
         return wrapped
 
     return install
+
+
+class _Watched(np.ndarray):
+    """A view of an input matrix that appends the input's name to ``log`` for
+    each matrix product whose operands are both views of that same input
+    (M^T M, a Gram matrix).  Every other operation sees a plain array."""
+
+    def __array_finalize__(self, obj):
+        self.name = getattr(obj, "name", None)
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        names = {x.name if isinstance(x, _Watched) else None for x in inputs}
+        if ufunc is np.matmul and len(names) == 1 and None not in names:
+            self.log.append(self.name)
+        plain = [x.view(np.ndarray) if isinstance(x, _Watched) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.fixture
+def grams():
+    """``grams.watch(p)`` returns a copy of ProblemInstance p whose d and t
+    log their Gram products; ``grams.count("t")`` is then how many times
+    T^T T was formed from it, and likewise for "d"."""
+
+    class Grams:
+        def __init__(self):
+            self.log = []
+
+        def watch(self, p):
+            q = model.ProblemInstance(d=p.d, t=p.t)
+            for name in ("d", "t"):
+                view = getattr(p, name).view(_Watched)
+                view.name, view.log = name, self.log
+                object.__setattr__(q, name, view)
+            return q
+
+        def count(self, name):
+            return self.log.count(name)
+
+    return Grams()

@@ -1,0 +1,75 @@
+import numpy as np
+import pytest
+
+from pdtls import api, fullrank, generate, linalg, model, rankdef
+from pdtls.errors import NoSolutionError, RankDeficiencyError
+
+
+def full_problem():
+    p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=12, n=5, r=5, seed=31))
+    return p
+
+
+def rankdef_problem():
+    return generate.gen_consistent_rankdef(generate.GeneratorSpec(m=12, n=5, r=3, seed=31))
+
+
+ROUTES = {
+    "qr": fullrank.solve_qr,
+    "spectral": fullrank.solve_spectral,
+    "rankdef_spectral": lambda p: rankdef.solve_rankdef(p, route="spectral"),
+    "rankdef_cod": lambda p: rankdef.solve_rankdef(p, route="cod"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(ROUTES))
+def test_solve_matches_the_route(method):
+    p = full_problem() if method in ("qr", "spectral") else rankdef_problem()
+    sol, ref = api.solve(p, method), ROUTES[method](p)
+    assert np.array_equal(sol.x, ref.x)
+    assert (sol.method_tag, sol.rank, sol.consistency) == (ref.method_tag, ref.rank, ref.consistency)
+    assert (sol.error_value, sol.kkt_residual) == (ref.error_value, ref.kkt_residual)
+
+
+def test_auto_picks_the_route_from_the_rank():
+    sol = api.solve(full_problem())
+    assert (sol.method_tag, sol.rank) == ("qr", 5)
+    sol = api.solve(rankdef_problem())
+    assert (sol.method_tag, sol.rank, sol.consistency.rank) == ("rankdef_spectral", 3, 3)
+
+
+def test_method_names_and_options():
+    p = rankdef_problem()
+    assert api.solve(p, "rankdef-cod").method_tag == "rankdef_cod"
+    with pytest.raises(ValueError):
+        api.solve(p, "cod")
+    with pytest.raises(RankDeficiencyError):
+        api.solve(p, "qr")
+    # rank_tol and delta reach the route.
+    assert api.solve(p, delta=0.5).consistency.delta == 0.5
+    q = model.ProblemInstance(d=np.diag([1.0, 1e-12, 0.0]), t=np.diag([2.0, 3.0, 0.0]))
+    assert api.solve(q, rank_tol=1e-14).rank == 2
+
+
+def test_refusal_carries_the_rank():
+    p = model.ProblemInstance(d=np.diag([1.0, 0.0]), t=np.diag([2.0, 1.0]))
+    for method in ("auto", "rankdef_spectral", "rankdef_cod"):
+        with pytest.raises(NoSolutionError) as ei:
+            api.solve(p, method)
+        assert ei.value.report.rank == 1
+
+
+@pytest.mark.parametrize(
+    "method, kind",
+    [("auto", "full"), ("auto", "rankdef"), ("qr", "full"), ("spectral", "full"),
+     ("rankdef_spectral", "full"), ("rankdef_spectral", "rankdef"),
+     ("rankdef_cod", "full"), ("rankdef_cod", "rankdef")],
+)
+def test_one_factor_of_d_and_one_gram_of_t(method, kind, spy, grams):
+    p = grams.watch(full_problem() if kind == "full" else rankdef_problem())
+    factors = {name: spy(linalg, name) for name in ("qr_svd_decompose", "complete_orthogonal_decompose")}
+    numeric_rank = spy(linalg, "numeric_rank")
+    api.solve(p, method)
+    assert sum(f.call_count for f in factors.values()) == 1
+    assert (grams.count("t"), grams.count("d")) == (1, 0)
+    assert not any(c.args[0] is p.d for c in numeric_rank.call_args_list)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdtls import generate, io, linalg, model, rankdef
+from pdtls import cli, generate, io, linalg, model, rankdef
 from pdtls.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -94,6 +94,48 @@ def test_solve_rankdef_partitions_once(tmp_path, spy):
     assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx",
                 "--report", tmp_path / "report.json"]) == 0
     assert (partition.call_count, check.call_count) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "d_diag, rows, method, reported, factor_name",
+    [
+        ((1.0, 1.0, 1.0), 3, "auto", "qr", "qr_svd_decompose"),
+        ((1.0, 1.0, 0.0), 3, "auto", "rankdef-spectral", "qr_svd_decompose"),
+        # Five rows, so that D differs from the COD's 3x3 triangle, whose
+        # SVD decides the rank.
+        ((1.0, 1.0, 0.0), 5, "rankdef-cod", "rankdef-cod", "complete_orthogonal_decompose"),
+    ],
+    ids=["identity", "rank_2", "rank_2_cod"],
+)
+def test_solve_factors_d_once(tmp_path, spy, d_diag, rows, method, reported, factor_name):
+    # The route's own factor of D picks the route and gives rank_r; no SVD of
+    # D is taken beside it.
+    d = np.zeros((rows, 3))
+    d[:3] = np.diag(d_diag)
+    io.write_matrix(tmp_path / "D.mtx", d)
+    io.write_matrix(tmp_path / "T.mtx", d @ np.diag([2.0, 3.0, 4.0]))
+    factors = {name: spy(linalg, name) for name in ("qr_svd_decompose", "complete_orthogonal_decompose")}
+    svd = spy(np.linalg, "svd")
+    assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx",
+                "--method", method, "--report", tmp_path / "report.json"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["method"] == reported
+    assert report["rank_r"] == np.count_nonzero(d_diag)
+    calls = [c.args[0] for f in factors.values() for c in f.call_args_list]
+    assert factors[factor_name].call_count == 1 and len(calls) == 1
+    assert np.array_equal(calls[0], d)
+    assert not any(np.array_equal(c.args[0], d) for c in svd.call_args_list)
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_command_forms_t_gram_once(tmp_path, monkeypatch, grams, command):
+    assert run(["generate", "--m", 20, "--n", 5, "--rank", 3, "--seed", 7,
+                "--out-dir", tmp_path]) == 0
+    load = cli._load_instance
+    monkeypatch.setattr(cli, "_load_instance", lambda args: grams.watch(load(args)))
+    assert run([command, "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx",
+                "--report", tmp_path / "report.json"]) == 0
+    assert (grams.count("t"), grams.count("d")) == (1, 0)
 
 
 def test_solve_rankdef_honours_small_rank_tol(tmp_path):

@@ -179,3 +179,12 @@ def test_kept_refusal_does_not_hold_the_factor(monkeypatch, d_diag, t_diag):
     with pytest.raises((RankDeficiencyError, NotPositiveDefiniteError)) as kept:
         fullrank.solve_qr(p)
     assert kept.value.__traceback__ is not None and factors[0]() is None
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_forms_t_gram_once_and_no_d_gram(solve, grams):
+    p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=12, n=5, r=5, seed=31))
+    sol = solve(grams.watch(p))
+    assert (grams.count("t"), grams.count("d")) == (1, 0)
+    assert np.array_equal(sol.x, solve(p).x)
+    assert sol.rank == 5 and sol.consistency is None

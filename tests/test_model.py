@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdtls import linalg, model
+from pdtls import fullrank, generate, linalg, model, rankdef
 from pdtls.errors import DimensionError, NotPositiveDefiniteError
 
 SCALAR_E = 2.0 * np.sqrt(10.0) - 6.0  # minimum of 2x + 5/x - 6 at x = sqrt(2.5)
@@ -34,16 +34,19 @@ def test_problem_instance_validation():
 
 
 def test_gram_pair_examples():
-    g = model.gram_pair(model.ProblemInstance(d=np.eye(2), t=np.diag([2.0, 3.0])))
-    assert_allclose(g.a, np.eye(2))
-    assert_allclose(g.b, np.diag([4.0, 9.0]))
+    # A = D^T D and B = T^T T, each from linalg.gram.
+    p = model.ProblemInstance(d=np.eye(2), t=np.diag([2.0, 3.0]))
+    assert_allclose(linalg.gram(p.d), np.eye(2))
+    assert_allclose(linalg.gram(p.t), np.diag([4.0, 9.0]))
 
-    g = model.gram_pair(scalar_problem())
-    assert_allclose(g.a, [[2.0]])
-    assert_allclose(g.b, [[5.0]])
+    p = scalar_problem()
+    assert_allclose(linalg.gram(p.d), [[2.0]])
+    assert_allclose(linalg.gram(p.t), [[5.0]])
 
-    g = model.gram_pair(model.ProblemInstance(d=np.zeros((2, 2)), t=np.zeros((2, 2))))
-    assert_allclose(g.a, np.zeros((2, 2)))
+    assert_allclose(linalg.gram(np.zeros((2, 2))), np.zeros((2, 2)))
+    t = np.random.default_rng(4).standard_normal((7, 3))
+    g = linalg.gram(t)
+    assert np.array_equal(g, g.T)
 
 
 def test_error_trace_exact_solution_is_zero():
@@ -92,14 +95,21 @@ def test_error_frobenius_identity_x():
 
 
 def test_kkt_residual_examples():
-    g = model.GramPair(a=np.eye(2), b=np.diag([4.0, 9.0]))
-    assert model.kkt_residual(g, np.diag([2.0, 3.0])) == pytest.approx(0.0, abs=1e-14)
+    # The factor f of A (f^T f = A) stands in for A.
+    assert model.kkt_residual(np.eye(2), np.diag([4.0, 9.0]), np.diag([2.0, 3.0])) == pytest.approx(
+        0.0, abs=1e-14
+    )
+    f, b = np.array([[np.sqrt(2.0)]]), np.array([[5.0]])
+    assert model.kkt_residual(f, b, np.array([[np.sqrt(2.5)]])) == pytest.approx(0.0, abs=1e-14)
 
-    g = model.GramPair(a=np.array([[2.0]]), b=np.array([[5.0]]))
-    assert model.kkt_residual(g, np.array([[np.sqrt(2.5)]])) == pytest.approx(0.0, abs=1e-14)
+    assert model.kkt_residual(np.eye(2), np.eye(2), 2.0 * np.eye(2)) == pytest.approx(3.0, rel=1e-14)
 
-    g = model.GramPair(a=np.eye(2), b=np.eye(2))
-    assert model.kkt_residual(g, 2.0 * np.eye(2)) == pytest.approx(3.0, rel=1e-14)
+    # A factor of A with fewer rows than columns (rank-deficient A) works too.
+    f = np.array([[1.0, 1.0]])  # A = [[1, 1], [1, 1]]
+    x = np.diag([1.0, 2.0])
+    assert model.kkt_residual(f, np.zeros((2, 2)), x) == pytest.approx(
+        np.linalg.norm(x @ f.T @ f @ x), rel=1e-14
+    )
 
 
 def random_spd(n, rng, lo=0.5, hi=2.0):
@@ -157,10 +167,57 @@ def test_error_invariant_under_factor_rotation():
 
 def test_make_solution_validates():
     p = model.ProblemInstance(d=np.eye(2), t=np.diag([2.0, 3.0]))
-    g = model.gram_pair(p)
-    sol = model.make_solution(p, g, np.diag([2.0, 3.0]), "qr")
+    b = linalg.gram(p.t)
+    sol = model.make_solution(p, np.eye(2), b, np.diag([2.0, 3.0]), "qr")
     assert sol.min_eigenvalue == pytest.approx(2.0)
     assert sol.method_tag == "qr"
     assert sol.consistency is None
+    assert sol.rank == 2
+    assert sol.error_value == pytest.approx(0.0, abs=1e-14)
+    assert sol.kkt_residual == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(NotPositiveDefiniteError):
-        model.make_solution(p, g, np.diag([1.0, -1.0]), "qr")
+        model.make_solution(p, np.eye(2), b, np.diag([1.0, -1.0]), "qr")
+
+
+def routed_solutions():
+    """(instance, solution, the route's factor of A) on noisy 40x8 full-rank
+    and 200x20 r=12 rank-deficient data, every route."""
+    for seed in range(10):
+        p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=40, n=8, r=8, seed=seed))
+        p = generate.inject_noise(p, 1e-2, 100 + seed)
+        r = linalg.qr_svd_decompose(p.d).r
+        yield p, fullrank.solve_qr(p), r
+        yield p, fullrank.solve_spectral(p), r
+    for seed in range(5):
+        p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=200, n=20, r=12, seed=seed))
+        for route in ("spectral", "cod"):
+            factor = getattr(rankdef, f"partition_{route}")(p).factor
+            yield p, rankdef.solve_rankdef(p, route=route), factor
+
+
+def test_make_solution_error_matches_trace_oracle():
+    # E from D Y and T Y^{-T} against the trace form, which forms D X and
+    # T X^{-1}, wherever E is above rounding noise.
+    compared = 0
+    for p, sol, _ in routed_solutions():
+        oracle = model.error_trace(p, sol.x)
+        floor = 1e-12 * np.linalg.norm(p.t) ** 2
+        if oracle > floor:
+            assert abs(sol.error_value - oracle) <= 1e-12 * oracle
+            compared += 1
+        else:
+            assert 0.0 <= sol.error_value <= floor
+    assert compared == 30
+
+
+def test_make_solution_kkt_matches_gram_form():
+    # On well-conditioned data the factor form agrees with X A X - B taken
+    # through a formed A, at the solution and away from it.
+    for p, sol, f in routed_solutions():
+        a, b = p.d.T @ p.d, linalg.gram(p.t)
+        assert sol.kkt_residual == model.kkt_residual(f, b, sol.x)
+        for x, tol in ((sol.x, 1e-12), (1.1 * sol.x, 1e-12)):
+            gram_form = np.linalg.norm(x @ a @ x - b) / max(1.0, np.linalg.norm(b))
+            factor_form = model.kkt_residual(f, b, x)
+            assert abs(factor_form - gram_form) <= tol * max(1.0, gram_form)
+        assert model.kkt_residual(f, b, 1.1 * sol.x) > 0.1

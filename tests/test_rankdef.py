@@ -178,7 +178,7 @@ def test_core_root_rejects_indefinite_block():
     # The r-by-r core is rooted as solve_rankdef does it.
     bp = rankdef.BlockPartition(
         r=2, b_rr=np.diag([1.0, -1.0]), b_rn=np.zeros((2, 0)), b_nn=np.zeros((0, 0)),
-        s=np.ones(2), basis_u=np.eye(2),
+        s=np.ones(2), basis_u=np.eye(2), b=np.diag([1.0, -1.0]), factor=np.eye(2),
     )
     with pytest.raises(NotPositiveDefiniteError):
         fullrank.spd_root_diag(bp.s, bp.b_rr)
@@ -290,8 +290,8 @@ def test_full_rank_d_singular_target_refused(route):
 
 def test_kept_refusal_does_not_hold_the_partition(monkeypatch):
     # A caller may keep refusals (a benchmark keeps a pass's outcomes); the
-    # partition and the Gram pair must not stay alive through the exception's
-    # traceback.
+    # partition and the B = T^T T it formed must not stay alive through the
+    # exception's traceback.
     made = []
 
     def track(module, name):
@@ -305,7 +305,7 @@ def test_kept_refusal_does_not_hold_the_partition(monkeypatch):
         monkeypatch.setattr(module, name, tracked)
 
     track(rankdef, "partition_spectral")
-    track(model, "gram_pair")
+    track(linalg, "gram")
     with pytest.raises(NoSolutionError) as kept:
         rankdef.solve_rankdef(diag_problem((2.0, 1.0)))
     assert kept.value.__traceback__ is not None and kept.value.report is not None
@@ -403,3 +403,49 @@ def test_zero_data_zero_target():
     p = model.ProblemInstance(d=np.zeros((3, 2)), t=np.zeros((3, 2)))
     sol = rankdef.solve_rankdef(p, delta=1e-8)
     assert_allclose(sol.x, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("route", ["spectral", "cod"])
+def test_solve_rankdef_forms_t_gram_once_and_no_d_gram(route, grams):
+    p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=12, n=5, r=3, seed=31))
+    sol = rankdef.solve_rankdef(grams.watch(p), route=route)
+    assert (grams.count("t"), grams.count("d")) == (1, 0)
+    assert np.array_equal(sol.x, rankdef.solve_rankdef(p, route=route).x)
+
+
+@pytest.mark.parametrize("route", ["spectral", "cod"])
+def test_solution_and_report_carry_the_rank(route):
+    p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=12, n=5, r=3, seed=31))
+    sol = rankdef.solve_rankdef(p, route=route)
+    assert sol.rank == sol.consistency.rank == 3
+    with pytest.raises(NoSolutionError) as ei:
+        rankdef.solve_rankdef(diag_problem((2.0, 1.0)), route=route)
+    assert ei.value.report.rank == 1
+    with pytest.raises(NoSolutionError) as ei:
+        rankdef.solve_rankdef(singular_target_problem(0), route=route)
+    assert ei.value.report.rank == 3
+
+
+@pytest.mark.parametrize("route", ["spectral", "cod"])
+def test_partition_factor_and_b(route):
+    # The partition keeps B = T^T T and a factor of A = D^T D.
+    rng = np.random.default_rng(23)
+    d = rng.standard_normal((9, 2)) @ rng.standard_normal((2, 4))
+    p = model.ProblemInstance(d=d, t=rng.standard_normal((9, 4)))
+    bp = getattr(rankdef, f"partition_{route}")(p)
+    assert np.array_equal(bp.b, gram_b(p))
+    a = p.d.T @ p.d
+    assert bp.factor.shape[1] == 4
+    assert np.linalg.norm(bp.factor.T @ bp.factor - a) <= 1e-13 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("route", ["spectral", "cod"])
+@pytest.mark.parametrize("seed", range(5))
+def test_kkt_residual_vouches_at_wide_spectrum(route, seed):
+    # eig(A) spans 1..1e-16 on the row space and X has entries ~1e8.  X A X
+    # taken through a formed D^T D carries its rounding (~eps ||A||) into a
+    # residual of 1e-2 to 7e-2; through the partition's factor of A it
+    # stays near the routes' agreement.
+    spec = generate.GeneratorSpec(m=40, n=8, r=4, seed=seed, spectrum_a=np.geomspace(1, 1e-16, 4))
+    sol = rankdef.solve_rankdef(generate.gen_consistent_rankdef(spec), route=route)
+    assert sol.kkt_residual <= 1e-7
