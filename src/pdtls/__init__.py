@@ -20,7 +20,7 @@ from .errors import (
     RankDeficiencyError,
     SingularTriangularError,
 )
-from .fullrank import solve_qr, solve_spectral, spd_root
+from .fullrank import solve_qr, solve_spectral
 from .generate import (
     GeneratorSpec,
     gen_consistent_rankdef,
@@ -80,5 +80,4 @@ __all__ = [
     "solve_qr",
     "solve_rankdef",
     "solve_spectral",
-    "spd_root",
 ]

@@ -1,14 +1,17 @@
 """One solve entry point over every route, factoring D once.
 
-``solve`` takes the R-only QR of D and the SVD of its triangle
-(linalg.qr_svd_decompose) once.  That factor picks the route under
-"auto" and is handed to the route, which forms B = T^T T once and reads
-its diagnostics from the same factor.  The complete-orthogonal route
-factors D its own way, so under "rankdef_cod" its pivoted QR is the one
-factor of D.
+Every route but one runs one pipeline: the R-only QR of D and the SVD of
+its triangle (linalg.qr_svd_decompose), the partition of B = T^T T in
+that basis (rankdef.partition_spectral), the consistency test, and the
+solve from the partition (rankdef.solve_partition), with full rank the
+case r = n.  The methods differ in the rank they accept and in the tag
+they give the solution.  The complete-orthogonal route factors D its own
+way, so under "rankdef_cod" its pivoted QR is the one factor of D.
 """
 
-from . import fullrank, linalg, model, rankdef
+import dataclasses
+
+from . import fullrank, model, rankdef
 
 __all__ = ["METHODS", "solve"]
 
@@ -24,24 +27,27 @@ def solve(
 ) -> model.SpdSolution:
     """Solve p along ``method``, one of METHODS (a "-" may stand for "_").
 
-    "auto" takes the QR route when D has full numeric rank and the
-    rank-deficient spectral route otherwise.  rank_tol is the relative rank
-    tolerance of D (and of T on the full-rank routes); delta is the
-    consistency threshold of the rank-deficient routes, unused by the
-    full-rank ones.  The solution's ``rank`` is the rank the route used; a
-    NoSolutionError carries it in ``exc.report.rank``.  Refusals are those
-    of the chosen route.
+    "qr" and "spectral" name one computation: they refuse rank-deficient D
+    with RankDeficiencyError, and otherwise solve at r = n.
+    "rankdef_spectral" solves at D's numeric rank r, whatever it is.
+    "auto" runs "rankdef_spectral" and tags the solution "qr" when r = n.
+    rank_tol is the relative rank tolerance of D; delta is the consistency
+    threshold, on every route.  The solution's ``rank`` is the rank the
+    route used, and its ``consistency`` the report that admitted it; a
+    NoSolutionError carries that report, rank included, in ``exc.report``.
     """
     method = method.replace("-", "_")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    # Each partition is passed on, not kept here: a caller that keeps a
+    # refusal keeps this frame.
     if method == "rankdef_cod":
         return rankdef.solve_rankdef(p, route="cod", delta=delta, rank_tol=rank_tol)
-    f = linalg.qr_svd_decompose(p.d, rank_tol)
-    if method == "auto":
-        method = "qr" if f.rank == p.n else "rankdef_spectral"
-    if method == "rankdef_spectral":
-        return rankdef.solve_partition(
-            p, rankdef.partition_spectral(p, rank_tol, f), "spectral", delta=delta
-        )
-    return fullrank.solve_factored(p, f, method, rank_tol)
+    if method in ("qr", "spectral"):
+        return rankdef.solve_partition(p, fullrank.partition(p, rank_tol), method, delta=delta)
+    sol = rankdef.solve_partition(
+        p, rankdef.partition_spectral(p, rank_tol), "rankdef_spectral", delta=delta
+    )
+    if method == "auto" and sol.rank == p.n:
+        return dataclasses.replace(sol, method_tag="qr")
+    return sol

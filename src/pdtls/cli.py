@@ -67,9 +67,7 @@ def _solver_registry(delta, rank_tol):
 
 
 def _consistency_fields(check) -> dict:
-    """Report fields of a ConsistencyReport; None means a full-rank route."""
-    if check is None:
-        return {"consistent": True, "f_norm": 0.0, "delta": None}
+    """Report fields of a ConsistencyReport."""
     return {"consistent": check.consistent, "f_norm": check.f_norm, "delta": check.delta}
 
 
@@ -78,9 +76,9 @@ def cmd_solve(args) -> int:
     try:
         sol = api.solve(p, args.method, rank_tol=args.rank_tol, delta=args.delta)
     except NoSolutionError as exc:
-        # Only the rank-deficient routes test consistency, and "auto" takes
-        # the spectral one.
-        method = "rankdef-spectral" if args.method == "auto" else args.method
+        method = args.method
+        if method == "auto":  # the route auto took, as it tags a solution
+            method = "qr" if exc.report.rank == p.n else "rankdef-spectral"
         report = {"method": method, "rank_r": exc.report.rank}
         report.update(_consistency_fields(exc.report), E=None, kkt_residual=None, min_eigenvalue=None)
         _emit_report(report, args.report)

@@ -71,10 +71,9 @@ class SpdSolution:
 
     method_tag is one of "qr", "spectral", "rankdef_spectral", "rankdef_cod"
     (or "baseline" for the comparison solver in the bench module).
-    rank is the rank of D the route solved at: n on the full-rank routes,
-    the partition's r on the rank-deficient ones.  consistency is the
-    rankdef.ConsistencyReport that admitted a rank-deficient solve, and
-    None on the other routes.
+    rank is the rank of D the route solved at: the partition's r, which is
+    n on the full-rank routes.  consistency is the rankdef.ConsistencyReport
+    that admitted the solve, and None only on the baseline.
     """
 
     x: np.ndarray
@@ -148,8 +147,8 @@ def make_solution(
 
     f is the route's factor of A (f^T f = A, n columns) and b the B = T^T T
     it formed; neither is formed again.  consistency is the report that
-    admitted a rank-deficient solve, whose rank the solution carries; the
-    rank is n without one.
+    admitted the solve, whose rank the solution carries; the rank is n
+    without one.
     """
     x = linalg.symmetrize(linalg.as_matrix(x))
     min_eig = float(np.linalg.eigvalsh(x).min())

@@ -1,4 +1,4 @@
-"""Solution pipeline for rank-deficient data, rank(D) = r < n.
+"""The solution pipeline for data of any rank r = rank(D) <= n.
 
 In an orthonormal basis U whose first r columns span the row space of D,
 the stationarity equation X A X = B splits into blocks of
@@ -9,11 +9,13 @@ Xt = U^T X U and Bt = U^T B U:
     (III) Xt_nr S^2 Xt_rn = Bt_nn
 
 with S^2 the diagonal of positive eigenvalues of A.  (I) is an r-by-r
-full-rank instance of the same problem, solved by the spectral route's
-closed form S^{-1} (S Bt_rr S)^{1/2} S^{-1} (fullrank.spd_root_diag);
-(II) is a nonsingular linear system; (III) is solvable only when the Schur
-complement B_nn - B_rn^T B_rr^{-1} B_rn of B_rr in Bt vanishes, which is
-tested against a threshold delta before solving.
+full-rank instance of the same problem, solved by the closed form
+S^{-1} (S Bt_rr S)^{1/2} S^{-1} (spd_root_diag); (II) is a nonsingular
+linear system; (III) is solvable only when the Schur complement
+B_nn - B_rn^T B_rr^{-1} B_rn of B_rr in Bt vanishes, which is tested
+against a threshold delta before solving.  Full-rank data is the case
+r = n: (II) and (III) are empty, the complement is 0-by-0, and the test
+refuses only a numerically singular B (a rank-deficient T).
 The trailing diagonal block of Xt is free: any nonsingular lower
 triangular L_free yields an SPD completion via the block Cholesky
 identities
@@ -33,14 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fullrank, linalg, model
-from .errors import DimensionError, NoSolutionError
+from . import linalg, model
+from .errors import DimensionError, NoSolutionError, NotPositiveDefiniteError
 
 __all__ = [
     "BlockPartition",
     "ConsistencyReport",
     "CompletionChoice",
     "default_delta",
+    "spd_root_diag",
     "partition_spectral",
     "partition_cod",
     "check_consistency",
@@ -73,9 +76,10 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Outcome of the solvability test for a rank-deficient instance.
+    """Outcome of the solvability test of an instance.
 
-    rank is the rank r of D at which the partition was tested.
+    rank is the rank r of D at which the partition was tested.  At r = n,
+    f_norm is 0 and b_rr_condition is the condition number of B.
     """
 
     f_norm: float
@@ -105,6 +109,21 @@ class CompletionChoice:
     @classmethod
     def identity(cls, size: int) -> "CompletionChoice":
         return cls(l_free=np.eye(size))
+
+
+def spd_root_diag(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """SPD root S^{-1} (S B S)^{1/2} S^{-1} of X S^2 X = B, S = diag(s), s > 0.
+
+    Raises NotPositiveDefiniteError when S B S is not positive definite.
+    """
+    q_tilde = linalg.symmetrize(s[:, None] * b * s[None, :])
+    inner = linalg.spectral_decompose(q_tilde)
+    if inner.eigenvalues[-1] <= 0.0:
+        raise NotPositiveDefiniteError(
+            "S B S is not positive definite (target matrix is rank deficient)"
+        )
+    core = (inner.u * np.sqrt(inner.eigenvalues)) @ inner.u.T
+    return core / s[:, None] / s[None, :]
 
 
 def default_delta(b) -> float:
@@ -167,7 +186,8 @@ def check_consistency(bp: BlockPartition, delta: float) -> ConsistencyReport:
     (III) is solvable iff the Schur complement of B_rr in Bt vanishes, so
     this measures f_norm = ||B_nn - B_rn^T B_rr^{-1} B_rn||_F and flags the
     instance consistent iff f_norm < delta.  At r = 0 the complement is
-    B_nn itself, f_norm = ||B||_F and b_rr_condition is 1.0.  A numerically
+    B_nn itself, f_norm = ||B||_F and b_rr_condition is 1.0; at r = n it is
+    empty, f_norm = 0 and b_rr_condition is cond(B).  A numerically
     singular leading block B_rr, at any rank r >= 1, means the data cannot
     support an SPD solution: reported inconsistent with f_norm and
     b_rr_condition both inf.  Raises ValueError unless delta > 0 (a NaN
@@ -200,7 +220,7 @@ def solve_rankdef(
     delta: float | None = None,
     rank_tol: float | None = None,
 ) -> model.SpdSolution:
-    """Solve the rank-deficient problem along the given route.
+    """Solve p at D's numeric rank r along the given route; r = n is full rank.
 
     Parameters
     ----------
@@ -223,28 +243,29 @@ def solve_rankdef(
     # The partition is passed on, not kept here: a caller that keeps a
     # refusal keeps this frame.
     if route == "spectral":
-        return solve_partition(p, partition_spectral(p, rank_tol), route, choice, delta)
+        return solve_partition(p, partition_spectral(p, rank_tol), "rankdef_spectral", choice, delta)
     if route == "cod":
-        return solve_partition(p, partition_cod(p, rank_tol), route, choice, delta)
+        return solve_partition(p, partition_cod(p, rank_tol), "rankdef_cod", choice, delta)
     raise ValueError(f"unknown route {route!r}; expected 'spectral' or 'cod'")
 
 
 def solve_partition(
     p: model.ProblemInstance,
     bp: BlockPartition,
-    route: str,
+    method_tag: str,
     choice: CompletionChoice | None = None,
     delta: float | None = None,
 ) -> model.SpdSolution:
-    """Solve the rank-deficient problem from its partition.
+    """Solve p from its partition, at the partition's rank r <= n.
 
-    bp is p's partition along ``route``: partition_spectral's for
-    "spectral", partition_cod's for "cod".  Its B sets the default delta and,
-    with its factor of A, the solution's diagnostics.  choice, delta, the
-    return value and the refusals are as in solve_rankdef.
+    bp is p's partition: partition_cod's under the method_tag "rankdef_cod",
+    partition_spectral's under the others ("qr", "spectral",
+    "rankdef_spectral"); the solution carries the tag.  bp's B sets the
+    default delta and, with its factor of A, the solution's diagnostics.
+    choice, delta, the return value and the refusals are as in
+    solve_rankdef; at r = n the trailing block is empty and the solution
+    is the unique minimizer.
     """
-    if route not in ("spectral", "cod"):
-        raise ValueError(f"unknown route {route!r}; expected 'spectral' or 'cod'")
     if delta is None:
         delta = default_delta(bp.b)
     report = check_consistency(bp, delta)
@@ -258,18 +279,17 @@ def solve_partition(
         )
     n = p.n
     r = bp.r
-    if choice is None:
-        choice = CompletionChoice.identity(n - r)
-    if choice.l_free.shape[0] != n - r:
+    l_free = np.eye(n - r) if choice is None else choice.l_free
+    if l_free.shape[0] != n - r:
         raise DimensionError(
-            f"l_free must be {n - r}x{n - r} for this instance, got {choice.l_free.shape}"
+            f"l_free must be {n - r}x{n - r} for this instance, got {l_free.shape}"
         )
     xt = np.zeros((n, n))
     if r:
-        x_rr = fullrank.spd_root_diag(bp.s, bp.b_rr)
-        l_rr = linalg.cholesky(x_rr)
+        x_rr = spd_root_diag(bp.s, bp.b_rr)
         xt[:r, :r] = x_rr
         if n > r:
+            l_rr = linalg.cholesky(x_rr)
             # (II): Xt_rr (S^2 Xt_rn) = Bt_rn via two triangular solves,
             # then undo the diagonal scaling.
             w = linalg.solve_triangular(l_rr, bp.b_rn, lower=True)
@@ -279,11 +299,11 @@ def solve_partition(
             l_nr_t = linalg.solve_triangular(l_rr, x_rn, lower=True)
             xt[:r, r:] = x_rn
             xt[r:, :r] = x_rn.T
-            xt[r:, r:] = l_nr_t.T @ l_nr_t + choice.l_free @ choice.l_free.T
+            xt[r:, r:] = l_nr_t.T @ l_nr_t + l_free @ l_free.T
     else:
-        xt[:, :] = choice.l_free @ choice.l_free.T
+        xt[:, :] = l_free @ l_free.T
     x = bp.basis_u @ xt @ bp.basis_u.T
-    return model.make_solution(p, bp.factor, bp.b, x, f"rankdef_{route}", report)
+    return model.make_solution(p, bp.factor, bp.b, x, method_tag, report)
 
 
 def block_residuals(bp: BlockPartition, x) -> tuple[float, float]:

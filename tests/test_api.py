@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,40 @@ def test_one_factor_of_d_and_one_gram_of_t(method, kind, spy, grams):
     assert sum(f.call_count for f in factors.values()) == 1
     assert (grams.count("t"), grams.count("d")) == (1, 0)
     assert not any(c.args[0] is p.d for c in numeric_rank.call_args_list)
+
+
+@pytest.mark.parametrize("solve", [fullrank.solve_qr, fullrank.solve_spectral, api.solve],
+                         ids=["solve_qr", "solve_spectral", "api_solve"])
+def test_full_rank_is_one_partition_solve(solve, spy):
+    p = full_problem()
+    calls = {name: spy(rankdef, name) for name in ("check_consistency", "solve_partition")}
+    svd = spy(np.linalg, "svd")
+    sol = solve(p)
+    assert [c.call_count for c in calls.values()] == [1, 1]
+    assert not any(c.args[0] is p.t for c in svd.call_args_list)
+    assert (sol.rank, sol.consistency.rank, sol.consistency.f_norm) == (5, 5, 0.0)
+
+
+@pytest.mark.parametrize("method", ["auto", "qr", "spectral", "rankdef_spectral"])
+@pytest.mark.parametrize(
+    "d_diag,t_diag",
+    [((1.0, 0.0), (2.0, 1.0)), ((1.0, 1.0), (1.0, 0.0))],
+    ids=["deficient_d", "deficient_t"],
+)
+def test_kept_refusal_does_not_hold_the_factor(monkeypatch, method, d_diag, t_diag):
+    # A caller may keep refusals; neither the factor of D nor its triangle
+    # may stay alive through the exception's traceback.
+    kept_alive = []
+    factor = linalg.qr_svd_decompose
+
+    def tracked(*args):
+        f = factor(*args)
+        kept_alive.extend((weakref.ref(f), weakref.ref(f.r)))
+        return f
+
+    monkeypatch.setattr(linalg, "qr_svd_decompose", tracked)
+    p = model.ProblemInstance(d=np.diag(d_diag), t=np.diag(t_diag))
+    with pytest.raises((RankDeficiencyError, NoSolutionError)) as kept:
+        api.solve(p, method)
+    assert kept.value.__traceback__ is not None
+    assert kept_alive and all(ref() is None for ref in kept_alive)

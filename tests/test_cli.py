@@ -72,7 +72,11 @@ def test_full_rank_d_singular_target_exit_2(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["rank_r"] == 3 and report["consistent"] is False
     assert np.isinf(report["f_norm"]) and np.isinf(report["b_rr_condition"])
-    assert run(["solve", "--data", d, "--target", t, "--method", "rankdef-spectral"]) == 2
+    for method, named in [("auto", "qr"), ("qr", "qr"), ("spectral", "spectral"),
+                          ("rankdef-spectral", "rankdef-spectral")]:
+        assert run(["solve", "--data", d, "--target", t, "--method", method]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert (report["method"], report["rank_r"], report["consistent"]) == (named, 3, False)
 
 
 def test_exit_codes_of_a_real_process(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdtls import fullrank, generate, linalg, model
-from pdtls.errors import NotPositiveDefiniteError, RankDeficiencyError
+from pdtls import api, fullrank, generate, linalg, model, rankdef
+from pdtls.errors import NoSolutionError, NotPositiveDefiniteError, RankDeficiencyError
 
 SOLVERS = [fullrank.solve_qr, fullrank.solve_spectral]
 
@@ -112,17 +112,18 @@ def test_global_minimality_probe():
 
 
 # X A X = B is a special case of the continuous-time algebraic Riccati
-# equation; spd_root is its closed form, given the upper factor R of A = R^T R.
+# equation; spd_root_diag is its closed form for a diagonal A = S^2, and a
+# route reduces any A = R^T R to that form, here with D = R as the data.
 
 
 def test_care_special_identity():
-    x = fullrank.spd_root(np.eye(3), np.eye(3))
+    x = rankdef.spd_root_diag(np.ones(3), np.eye(3))
     assert_allclose(x, np.eye(3), atol=1e-12)
 
 
 def test_care_special_decoupled_scalars():
-    # A = diag(1, 4) = R^T R with R = diag(1, 2)
-    x = fullrank.spd_root(np.diag([1.0, 2.0]), np.diag([4.0, 4.0]))
+    # A = diag(1, 4) = S^2 with S = diag(1, 2)
+    x = rankdef.spd_root_diag(np.array([1.0, 2.0]), np.diag([4.0, 4.0]))
     assert_allclose(x, np.diag([2.0, 1.0]), atol=1e-12)
 
 
@@ -133,14 +134,15 @@ def test_care_special_random_residual():
     gb = rng.standard_normal((n, n))
     a = ga @ ga.T + n * np.eye(n)
     b = gb @ gb.T + n * np.eye(n)
-    x = fullrank.spd_root(linalg.cholesky(a).T, b)
+    p = model.ProblemInstance(d=linalg.cholesky(a).T, t=linalg.cholesky(b).T)
+    x = fullrank.solve_qr(p).x
     assert np.linalg.norm(x @ a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_care_special_rejects_indefinite():
-    # R B R^T is not positive definite, so no SPD root exists.
+    # S B S is not positive definite, so no SPD root exists.
     with pytest.raises(NotPositiveDefiniteError):
-        fullrank.spd_root(np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([1.0, -1.0]))
+        rankdef.spd_root_diag(np.array([1.0, 2.0]), np.diag([1.0, -1.0]))
 
 
 def test_rank_deficient_data_raises():
@@ -151,11 +153,15 @@ def test_rank_deficient_data_raises():
 
 
 def test_rank_deficient_target_raises_not_pd():
-    # rank(T) < n means T^T T is singular: reported, never silently repaired
+    # rank(T) < n means T^T T is singular: the consistency test at r = n
+    # refuses it, never silently repaired
     p = model.ProblemInstance(d=np.eye(2), t=np.diag([1.0, 0.0]))
     for solve in SOLVERS:
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NoSolutionError) as ei:
             solve(p)
+        report = ei.value.report
+        assert report.rank == 2 and not report.consistent
+        assert np.isinf(report.f_norm) and np.isinf(report.b_rr_condition)
 
 
 @pytest.mark.parametrize(
@@ -176,7 +182,7 @@ def test_kept_refusal_does_not_hold_the_factor(monkeypatch, d_diag, t_diag):
 
     monkeypatch.setattr(linalg, "qr_svd_decompose", tracked)
     p = model.ProblemInstance(d=np.diag(d_diag), t=np.diag(t_diag))
-    with pytest.raises((RankDeficiencyError, NotPositiveDefiniteError)) as kept:
+    with pytest.raises((RankDeficiencyError, NoSolutionError)) as kept:
         fullrank.solve_qr(p)
     assert kept.value.__traceback__ is not None and factors[0]() is None
 
@@ -187,4 +193,19 @@ def test_forms_t_gram_once_and_no_d_gram(solve, grams):
     sol = solve(grams.watch(p))
     assert (grams.count("t"), grams.count("d")) == (1, 0)
     assert np.array_equal(sol.x, solve(p).x)
-    assert sol.rank == 5 and sol.consistency is None
+    assert sol.rank == 5 and sol.consistency.rank == 5
+    assert sol.consistency.f_norm == 0.0 and sol.consistency.consistent
+
+
+def test_forward_error_at_cond_1e5():
+    # Noise-free data with a known X0 and cond(D) = 1e5: every full-rank
+    # route solves it to 1e-5 relative, through one computation.
+    for seed in range(3):
+        spec = generate.GeneratorSpec(
+            m=200, n=12, r=12, seed=seed, spectrum_a=np.geomspace(1.0, 1e-5, 12)
+        )
+        p, x0 = generate.gen_full_rank(spec)
+        x_qr = fullrank.solve_qr(p).x
+        for x in (x_qr, api.solve(p).x):
+            assert np.linalg.norm(x - x0) <= 1e-5 * np.linalg.norm(x0)
+        assert np.array_equal(x_qr, fullrank.solve_spectral(p).x)
