@@ -5,8 +5,9 @@ its triangle (linalg.qr_svd_decompose), the partition of B = T^T T in
 that basis (rankdef.partition_spectral), the consistency test, and the
 solve from the partition (rankdef.solve_partition), with full rank the
 case r = n.  The methods differ in the rank they accept and in the tag
-they give the solution.  The complete-orthogonal route factors D its own
-way, so under "rankdef_cod" its pivoted QR is the one factor of D.
+they give the solution.  The complete-orthogonal route builds its basis
+its own way, from a pivoted QR of the triangle of the same R-only QR of
+D, so under "rankdef_cod" too D is read once.
 """
 
 import dataclasses

@@ -83,7 +83,7 @@ class QrFactors:
 class QrSvdFactors:
     """The triangle of a = Q r (Q not formed) and the SVD r = W diag(s) v^T.
 
-    r is n-by-n upper triangular, with the diagonal signs LAPACK's dgeqrf
+    r is n-by-n upper triangular, with the diagonal signs LAPACK's dgeqrt
     leaves (a^T a = r^T r does not depend on them); s is descending and
     v (n, n) orthonormal, so a^T a = v diag(s**2) v^T without a^T a being
     formed.  rank counts s above rank_tol * s[0].
@@ -107,8 +107,10 @@ class SpectralFactors:
 class CodFactors:
     """Complete orthogonal decomposition a = U @ [[r_block, 0], [0, 0]] @ v.T, U not formed.
 
-    v (n, n) is orthonormal; r_block is rank-by-rank upper triangular with a
-    positive diagonal.  The left factor is carried by a @ v = [U_r @ r_block, 0].
+    Read from one R-only QR of a tall a and a QR with column pivoting of
+    its n-by-n triangle.  v (n, n) is orthonormal; r_block is rank-by-rank
+    upper triangular with a positive diagonal.  The left factor is carried
+    by a @ v = [U_r @ r_block, 0].
     """
 
     r_block: np.ndarray
@@ -161,17 +163,36 @@ def qr_svd_decompose(a, rank_tol: float | None = None) -> QrSvdFactors:
         raise DimensionError(f"qr_svd_decompose requires rows >= cols, got {m}x{n}")
     if rank_tol is None:
         rank_tol = default_rank_tol(a)
-    if n == 0:  # LAPACK rejects an empty workspace query
+    if n == 0:  # LAPACK's dgesdd rejects an empty matrix
         return QrSvdFactors(r=np.zeros((0, 0)), s=np.zeros(0), v=np.zeros((0, 0)), rank=0)
-    # The queried workspace is the one np.linalg.qr asks for, so on one BLAS
-    # thread r matches qr_decompose's r bit for bit, up to the row signs.
-    lwork = int(lapack.dgeqrf_lwork(m, n)[0])
-    qr, _, _, qr_info = lapack.dgeqrf(a, lwork=lwork)
-    r = np.triu(qr[:n])
-    _, s, vt, svd_info = lapack.dgesdd(r, compute_uv=1, full_matrices=0)
-    if qr_info or svd_info:
-        raise np.linalg.LinAlgError(f"LAPACK dgeqrf/dgesdd failed, info={qr_info}/{svd_info}")
+    r = _qr_triangle(a)
+    _, s, vt, info = lapack.dgesdd(r, compute_uv=1, full_matrices=0)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK dgesdd failed, info={info}")
     return QrSvdFactors(r=r, s=s, v=vt.T, rank=_rank_of(s, rank_tol))
+
+
+# Column block of the recursive-panel QR, fixed as LAPACK's own NB is.
+_QR_BLOCK = 32
+
+
+def _qr_triangle(a: np.ndarray) -> np.ndarray:
+    """The n-by-n upper triangle r of a = Q r (m >= n), Q not formed.
+
+    LAPACK's dgeqrt: Householder QR in panels of _QR_BLOCK columns, each
+    factored recursively (Elmroth & Gustavson, IBM J. Res. Dev. 44(4),
+    2000) and applied to the rest as one block reflector.  dgeqrf runs
+    unblocked, BLAS-2 code below its crossover min(m, n) = 128, which the
+    n of tall data rarely reaches.  The diagonal signs are those LAPACK
+    leaves.
+    """
+    n = a.shape[1]
+    if n == 0:  # dgeqrt needs a block of at least one column
+        return np.zeros((0, 0))
+    qr, _, info = lapack.dgeqrt(min(n, _QR_BLOCK), a)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK dgeqrt failed, info={info}")
+    return np.triu(qr[:n])
 
 
 def spectral_decompose(a) -> SpectralFactors:
@@ -231,17 +252,21 @@ def _rank_of(s: np.ndarray, rank_tol: float) -> int:
 def complete_orthogonal_decompose(a, rank_tol: float | None = None) -> CodFactors:
     """Complete orthogonal decomposition a = U [[R, 0], [0, 0]] v^T, U not formed.
 
-    Built as one QR with column pivoting, a P = Q R0, followed by an
+    Built as a QR with column pivoting, a P = Q R0, followed by an
     orthogonal reduction of the leading rows of R0, so R comes out upper
-    triangular.  The rank is decided by :func:`numeric_rank` on the top
+    triangular.  A tall a is first reduced to its n-by-n triangle by the
+    same R-only QR as :func:`qr_svd_decompose`, and the pivoted QR runs on
+    that triangle: pivoting reads only column norms, which a left
+    orthogonal factor keeps (Golub & Van Loan, Matrix Computations, 4th
+    ed., sec. 5.4).  The rank is decided by :func:`numeric_rank` on the top
     min(m, n) rows of R0, which have the singular values of a; the
     tolerance defaults to :func:`default_rank_tol` of a's own shape.
     """
     a = as_matrix(a)
-    n = a.shape[1]
+    m, n = a.shape
     if rank_tol is None:
         rank_tol = default_rank_tol(a)
-    rr, piv = sla.qr(a, mode="r", pivoting=True)
+    rr, piv = sla.qr(_qr_triangle(a) if m > n else a, mode="r", pivoting=True)
     r = numeric_rank(rr[:n, :], rank_tol)
     if r == 0:
         return CodFactors(r_block=np.zeros((0, 0)), v=np.eye(n), rank=0)
@@ -265,15 +290,32 @@ def complete_orthogonal_decompose(a, rank_tol: float | None = None) -> CodFactor
 def solve_triangular(factor, rhs, lower: bool = True, trans: bool = False) -> np.ndarray:
     """Solve factor @ x = rhs (or factor.T @ x = rhs with ``trans``).
 
+    Calls LAPACK's dtrtrs directly: scipy.linalg.solve_triangular's checks
+    cost several times the solve at the sizes a solve uses.
+
     Raises
     ------
     SingularTriangularError
         On a numerically zero pivot: min |diag| <= k * eps * max |diag| for
         a factor of order k.
+    DimensionError
+        If factor is not square or rhs has another number of rows.
+    ValueError
+        If rhs holds NaN or Inf entries.
     """
     factor = as_matrix(factor)
     rhs = np.asarray(rhs, dtype=np.float64)
+    k = factor.shape[0]
+    if factor.shape != (k, k) or rhs.shape[:1] != (k,):
+        raise DimensionError(f"cannot solve a {factor.shape} factor against {rhs.shape}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("right-hand side contains NaN or Inf entries")
     piv = np.abs(np.diag(factor))
     if piv.size and piv.min() <= piv.size * np.finfo(float).eps * piv.max():
         raise SingularTriangularError("triangular factor has a numerically zero pivot")
-    return sla.solve_triangular(factor, rhs, lower=lower, trans=1 if trans else 0)
+    x, info = lapack.dtrtrs(factor, rhs, lower=int(lower), trans=int(trans))
+    if info > 0:
+        raise SingularTriangularError(f"triangular factor has a zero pivot at row {info}")
+    if info < 0:
+        raise ValueError(f"LAPACK dtrtrs rejected argument {-info}")
+    return x

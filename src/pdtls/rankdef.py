@@ -205,9 +205,10 @@ def check_consistency(bp: BlockPartition, delta: float) -> ConsistencyReport:
                 f_norm=float("inf"), delta=delta, consistent=False,
                 b_rr_condition=float("inf"), rank=r,
             )
-        schur = schur - bp.b_rn.T @ np.linalg.solve(bp.b_rr, bp.b_rn)
         cond = float(sv[0] / sv[-1])
-    f_norm = float(np.linalg.norm(schur))
+        if schur.size:
+            schur = schur - bp.b_rn.T @ np.linalg.solve(bp.b_rr, bp.b_rn)
+    f_norm = float(np.linalg.norm(schur)) if schur.size else 0.0
     return ConsistencyReport(
         f_norm=f_norm, delta=delta, consistent=bool(f_norm < delta), b_rr_condition=cond, rank=r
     )

@@ -2,6 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from pdtls import api, fullrank, generate, linalg, model, rankdef
 from pdtls.errors import NoSolutionError, RankDeficiencyError
@@ -22,6 +23,14 @@ ROUTES = {
     "rankdef_spectral": lambda p: rankdef.solve_rankdef(p, route="spectral"),
     "rankdef_cod": lambda p: rankdef.solve_rankdef(p, route="cod"),
 }
+
+
+# Every method on the data it accepts: both kinds unless it refuses rank deficiency.
+METHOD_KINDS = [
+    ("auto", "full"), ("auto", "rankdef"), ("qr", "full"), ("spectral", "full"),
+    ("rankdef_spectral", "full"), ("rankdef_spectral", "rankdef"),
+    ("rankdef_cod", "full"), ("rankdef_cod", "rankdef"),
+]
 
 
 @pytest.mark.parametrize("method", sorted(ROUTES))
@@ -61,12 +70,7 @@ def test_refusal_carries_the_rank():
         assert ei.value.report.rank == 1
 
 
-@pytest.mark.parametrize(
-    "method, kind",
-    [("auto", "full"), ("auto", "rankdef"), ("qr", "full"), ("spectral", "full"),
-     ("rankdef_spectral", "full"), ("rankdef_spectral", "rankdef"),
-     ("rankdef_cod", "full"), ("rankdef_cod", "rankdef")],
-)
+@pytest.mark.parametrize("method, kind", METHOD_KINDS)
 def test_one_factor_of_d_and_one_gram_of_t(method, kind, spy, grams):
     p = grams.watch(full_problem() if kind == "full" else rankdef_problem())
     factors = {name: spy(linalg, name) for name in ("qr_svd_decompose", "complete_orthogonal_decompose")}
@@ -75,6 +79,19 @@ def test_one_factor_of_d_and_one_gram_of_t(method, kind, spy, grams):
     assert sum(f.call_count for f in factors.values()) == 1
     assert (grams.count("t"), grams.count("d")) == (1, 0)
     assert not any(c.args[0] is p.d for c in numeric_rank.call_args_list)
+
+
+@pytest.mark.parametrize("method, kind", METHOD_KINDS)
+def test_d_is_read_by_one_qr_kernel_call(method, kind, spy):
+    # Every method reads D's m rows once, through linalg's R-only QR; the
+    # complete-orthogonal route pivots the n-by-n triangle, not D.
+    p = full_problem() if kind == "full" else rankdef_problem()
+    kernel = spy(linalg, "_qr_triangle")
+    pivoted = spy(sla, "qr")
+    api.solve(p, method)
+    assert kernel.call_count == 1 and kernel.call_args.args[0] is p.d
+    shapes = [c.args[0].shape for c in pivoted.call_args_list]
+    assert shapes == ([(p.n, p.n)] if method == "rankdef_cod" else [])
 
 
 @pytest.mark.parametrize("solve", [fullrank.solve_qr, fullrank.solve_spectral, api.solve],

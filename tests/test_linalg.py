@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from pdtls import linalg
+from pdtls import generate, linalg
 from pdtls.errors import (
     AsymmetricMatrixError,
     DimensionError,
@@ -161,6 +162,23 @@ def test_cod_rank_uses_tolerance_of_input_shape():
     assert linalg.qr_svd_decompose(a).rank == 4
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_cod_of_tall_rank_deficient_data(seed):
+    # The pivoted QR runs on the n-by-n triangle of a tall a; the rank and
+    # the factors must be those of a itself.
+    rng = np.random.default_rng(seed)
+    spec = generate.GeneratorSpec(m=40, n=8, r=4, seed=seed, spectrum_a=np.geomspace(1, 1e-12, 4))
+    cases = [
+        generate.gen_consistent_rankdef(spec).d,
+        rng.standard_normal((2000, 60)) @ rng.standard_normal((60, 100)),
+        (rng.standard_normal((300, 5)) * np.geomspace(1, 1e-6, 5)) @ rng.standard_normal((5, 9)),
+    ]
+    for a in cases:
+        f = linalg.complete_orthogonal_decompose(a)
+        assert f.rank == linalg.numeric_rank(a) < a.shape[1]
+        assert_cod_factors(a, f)
+
+
 def test_solve_triangular_identity():
     b = np.array([[1.0], [2.0]])
     assert_allclose(linalg.solve_triangular(np.eye(2), b), b)
@@ -182,13 +200,38 @@ def test_solve_triangular_numerically_singular():
         linalg.solve_triangular(np.diag([1.0, 1e-300]), np.ones((2, 1)))
 
 
-@pytest.mark.parametrize("m,n", [(10, 4), (300, 200)])
+def test_solve_triangular_rejects_bad_input():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            linalg.solve_triangular(np.eye(2), np.array([[1.0], [bad]]))
+    with pytest.raises(DimensionError):
+        linalg.solve_triangular(np.ones((3, 2)), np.ones((3, 1)))
+    with pytest.raises(DimensionError):
+        linalg.solve_triangular(np.eye(3), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("trans", [False, True])
+@pytest.mark.parametrize("k,cols", [(1, 1), (8, 3), (60, 40)])
+def test_solve_triangular_matches_scipy(lower, trans, k, cols):
+    rng = np.random.default_rng(k + cols)
+    g = rng.standard_normal((k, k)) + k * np.eye(k)
+    factor = np.tril(g) if lower else np.triu(g)
+    rhs = rng.standard_normal((k, cols))
+    x = linalg.solve_triangular(factor, rhs, lower=lower, trans=trans)
+    ref = sla.solve_triangular(factor, rhs, lower=lower, trans=int(trans))
+    assert np.linalg.norm(x - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+# 2000x100 and 2000x129 lie on either side of min(m, n) = 128, where
+# LAPACK's dgeqrf (behind qr_decompose) switches from unblocked to blocked.
+@pytest.mark.parametrize("m,n", [(10, 4), (300, 200), (2000, 100), (2000, 129)])
 def test_qr_svd_factors(m, n):
     rng = np.random.default_rng(m + n)
     a = rng.standard_normal((m, n))
     f = linalg.qr_svd_decompose(a)
-    # Same Householder QR as qr_decompose up to row signs: bitwise so with
-    # one BLAS thread.
+    # The triangle of qr_decompose up to row signs, to rounding: the two
+    # Householder QRs apply the same reflectors in different blockings.
     signed = f.r * np.copysign(1.0, f.r.diagonal())[:, None]
     assert np.array_equal(f.r, np.triu(f.r))
     assert np.linalg.norm(signed - linalg.qr_decompose(a).r) <= 1e-14 * np.linalg.norm(a)

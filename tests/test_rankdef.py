@@ -129,6 +129,17 @@ def test_check_consistency_generator_round_trip():
         assert rep.f_norm <= 1e-8 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("route", ["spectral", "cod"])
+def test_check_consistency_at_full_rank_solves_nothing(route, spy):
+    # At r = n the Schur complement is empty: no linear solve, f_norm 0.
+    p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=40, n=8, r=8, seed=7))
+    solve = spy(np.linalg, "solve")
+    rep = rankdef.solve_rankdef(p, route=route).consistency
+    assert solve.call_count == 0
+    assert (rep.rank, rep.f_norm, rep.consistent) == (8, 0.0, True)
+    assert rep.b_rr_condition == pytest.approx(np.linalg.cond(gram_b(p)), rel=1e-8)
+
+
 def n_row_f_norm(bp, b):
     """Reference misfit from n-row products, ||U_nr^T (B U_r B_rr^{-1} U_r^T B - B)||_F.
 
