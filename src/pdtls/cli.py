@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except NotPositiveDefiniteError as exc:
         print(f"no SPD solution: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    except (DimensionError, RankDeficiencyError, FileNotFoundError, ValueError) as exc:
+    except (DimensionError, RankDeficiencyError, OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except PdtlsError as exc:

@@ -7,6 +7,7 @@ Writes are deterministic (17 significant digits), so identical matrices
 produce byte-identical files.
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +46,9 @@ def write_matrix(path, a, fmt: str | None = None) -> None:
 def read_matrix(path, fmt: str | None = None) -> np.ndarray:
     fmt = infer_format(path, fmt)
     if fmt == "mtx":
-        with open(path, "rb") as fh:
-            a = scipy.io.mmread(fh)
+        # Pass the path, not a handle: scipy's reader then opens the file
+        # itself rather than pulling it through a Python stream.
+        a = scipy.io.mmread(os.fspath(path))
         if hasattr(a, "toarray"):  # coordinate-format file
             a = a.toarray()
     else:

@@ -35,9 +35,11 @@ __all__ = [
     "numeric_rank",
     "solve_triangular",
     "symmetrize",
+    "triangular_inverse",
 ]
 
 SYMMETRY_RTOL = 1e-10
+_EPS = np.finfo(np.float64).eps
 
 
 def as_matrix(a) -> np.ndarray:
@@ -45,7 +47,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
@@ -308,14 +310,50 @@ def solve_triangular(factor, rhs, lower: bool = True, trans: bool = False) -> np
     k = factor.shape[0]
     if factor.shape != (k, k) or rhs.shape[:1] != (k,):
         raise DimensionError(f"cannot solve a {factor.shape} factor against {rhs.shape}")
-    if not np.all(np.isfinite(rhs)):
+    if not np.isfinite(rhs).all():
         raise ValueError("right-hand side contains NaN or Inf entries")
-    piv = np.abs(np.diag(factor))
-    if piv.size and piv.min() <= piv.size * np.finfo(float).eps * piv.max():
-        raise SingularTriangularError("triangular factor has a numerically zero pivot")
+    _check_pivots(factor)
     x, info = lapack.dtrtrs(factor, rhs, lower=int(lower), trans=int(trans))
+    _check_info("dtrtrs", info)
+    return x
+
+
+def triangular_inverse(factor, lower: bool = True) -> np.ndarray:
+    """The inverse of a square triangular factor, by LAPACK's dtrtri.
+
+    Only the ``lower`` (or upper) triangle of factor is read, and only that
+    triangle of the result is written; the other is copied from factor, so
+    a triangular factor gives a triangular inverse.
+
+    Raises
+    ------
+    SingularTriangularError
+        On a numerically zero pivot, by the rule of :func:`solve_triangular`.
+    DimensionError
+        If factor is not square.
+    """
+    factor = as_matrix(factor)
+    k = factor.shape[0]
+    if factor.shape != (k, k):
+        raise DimensionError(f"cannot invert a non-square {factor.shape} factor")
+    _check_pivots(factor)
+    inv, info = lapack.dtrtri(factor, lower=int(lower))
+    _check_info("dtrtri", info)
+    return inv
+
+
+def _check_pivots(factor: np.ndarray) -> None:
+    """Refuse a triangular factor of order k whose smallest pivot is at or
+    below k * eps times its largest: solving with it, or inverting it,
+    would amplify rounding by more than 1 / (k * eps)."""
+    piv = np.abs(factor.diagonal())
+    if piv.size and piv.min() <= piv.size * _EPS * piv.max():
+        raise SingularTriangularError("triangular factor has a numerically zero pivot")
+
+
+def _check_info(routine: str, info: int) -> None:
+    """Raise on the info code of LAPACK's triangular dtrtrs or dtrtri."""
     if info > 0:
         raise SingularTriangularError(f"triangular factor has a zero pivot at row {info}")
     if info < 0:
-        raise ValueError(f"LAPACK dtrtrs rejected argument {-info}")
-    return x
+        raise ValueError(f"LAPACK {routine} rejected argument {-info}")

@@ -12,10 +12,10 @@ is the quadratic matrix equation X A X = B with A = D^T D and B = T^T T.
 
 No solve forms A.  make_solution takes the route's own factor f of A
 (f^T f = A) and the B the route formed.  It reads E(X) in the second form,
-from one triangular product with D and one triangular solve with T: the
-only m-row work after X is known.  The stationarity residual is measured
-as ||(f X)^T (f X) - B||_F, which is n-sized.  error_trace is an
-independent oracle for tests.
+from two triangular products, one with D and one with T, the second by the
+inverse of X's n-by-n Cholesky factor: the only m-row work after X is
+known.  The stationarity residual is measured as ||(f X)^T (f X) - B||_F,
+which is n-sized.  error_trace is an independent oracle for tests.
 """
 
 from dataclasses import dataclass
@@ -107,13 +107,15 @@ def error_trace(p: ProblemInstance, x) -> float:
 def _error_of_factor(p: ProblemInstance, y: np.ndarray) -> float:
     """||D Y - T Y^{-T}||_F^2 for a lower triangular Y.
 
-    Both terms are formed transposed, n-by-m: Y^T D^T as a triangular
-    product (half a general product's flops) and Y^{-1} T^T by a triangular
-    solve, so D^T and T^T are read in place and the difference is taken in
-    the first term's storage.
+    Both terms are formed transposed, n-by-m, as triangular products (half
+    a general product's flops each): Y^T D^T, and Y^{-1} T^T with Y^{-1}
+    from one n-by-n inversion, not a triangular solve on m columns, which
+    BLAS runs several times slower for the same flops.  E is a sum of
+    squares, so nothing cancels.  D^T and T^T are read in place and the
+    difference is taken in the first term's storage.
     """
     res = blas.dtrmm(1.0, y, p.d.T, lower=1, trans_a=1)
-    res -= linalg.solve_triangular(y, p.t.T, lower=True)
+    res -= blas.dtrmm(1.0, linalg.triangular_inverse(y), p.t.T, lower=1)
     v = res.ravel(order="K")
     return float(v @ v)
 

@@ -88,6 +88,7 @@ def test_exit_codes_of_a_real_process(tmp_path):
     sd, st = write_singular_target(tmp_path / "singular")
     assert run_process(["check", "--data", sd, "--target", st]) == 2
     assert run_process(["solve", "--data", d, "--target", t, "--delta", "nan"]) == 3
+    assert run_process(["solve", "--data", tmp_path / "missing.mtx", "--target", t]) == 3
 
 
 def test_solve_rankdef_partitions_once(tmp_path, spy):
@@ -202,6 +203,14 @@ def test_invalid_inputs_exit_3(tmp_path):
     assert run(["generate", "--m", 3, "--n", 5, "--rank", 2, "--seed", 1,
                 "--out-dir", tmp_path]) == 3
     assert run(["bench", "--records", tmp_path / "r.csv"]) == 3
+
+
+def test_unreadable_compressed_input_exit_3(tmp_path):
+    # scipy's reader decompresses a path ending in .gz; a plain-text file
+    # under that name is invalid input, not an internal error.
+    d = tmp_path / "D.mtx.gz"
+    io.write_matrix(d, np.eye(2), fmt="mtx")
+    assert run(["solve", "--data", d, "--target", d, "--format", "mtx"]) == 3
 
 
 @pytest.mark.parametrize("flag", ["--rank-tol", "--delta"])

@@ -37,9 +37,19 @@ def test_single_column_csv_stays_2d(tmp_path):
 
 def test_format_override(tmp_path):
     a = np.eye(2)
-    path = tmp_path / "weird.dat"
-    io.write_matrix(path, a, fmt="csv")
-    assert_allclose(io.read_matrix(path, fmt="csv"), a)
+    for fmt in ("csv", "mtx"):
+        path = tmp_path / f"{fmt}.dat"
+        io.write_matrix(path, a, fmt=fmt)
+        assert_allclose(io.read_matrix(path, fmt=fmt), a)
+    # scipy appends ".mtx" to a bare file name it writes; the writer's
+    # handle keeps the name it was given.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["csv.dat", "mtx.dat"]
+
+
+@pytest.mark.parametrize("name", ["missing.mtx", "missing.csv"])
+def test_missing_file_raises(tmp_path, name):
+    with pytest.raises(FileNotFoundError):
+        io.read_matrix(tmp_path / name)
 
 
 def test_unknown_format_rejected(tmp_path):

@@ -223,6 +223,28 @@ def test_solve_triangular_matches_scipy(lower, trans, k, cols):
     assert np.linalg.norm(x - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("lower", [True, False])
+@pytest.mark.parametrize("k", [1, 8, 100])
+def test_triangular_inverse_matches_scipy(lower, k):
+    rng = np.random.default_rng(k)
+    g = rng.standard_normal((k, k)) + k * np.eye(k)
+    factor = np.tril(g) if lower else np.triu(g)
+    inv = linalg.triangular_inverse(factor, lower=lower)
+    ref = sla.solve_triangular(factor, np.eye(k), lower=lower)
+    assert np.linalg.norm(inv - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_triangular_inverse_rejects_bad_input():
+    # The same k * eps pivot rule as solve_triangular.
+    for lower in (True, False):
+        with pytest.raises(SingularTriangularError):
+            linalg.triangular_inverse(np.diag([1.0, 1e-300]), lower=lower)
+    with pytest.raises(SingularTriangularError):
+        linalg.triangular_inverse(np.diag([1.0, 0.0]))
+    with pytest.raises(DimensionError):
+        linalg.triangular_inverse(np.ones((3, 2)))
+
+
 # 2000x100 and 2000x129 lie on either side of min(m, n) = 128, where
 # LAPACK's dgeqrf (behind qr_decompose) switches from unblocked to blocked.
 @pytest.mark.parametrize("m,n", [(10, 4), (300, 200), (2000, 100), (2000, 129)])

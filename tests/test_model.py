@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from pdtls import fullrank, generate, linalg, model, rankdef
-from pdtls.errors import DimensionError, NotPositiveDefiniteError
+from pdtls import api, fullrank, generate, linalg, model, rankdef
+from pdtls.errors import DimensionError, NotPositiveDefiniteError, SingularTriangularError
 
 SCALAR_E = 2.0 * np.sqrt(10.0) - 6.0  # minimum of 2x + 5/x - 6 at x = sqrt(2.5)
 IDENTITY_E = 2.0 * np.sqrt(5.0) - 4.0
@@ -177,6 +178,66 @@ def test_make_solution_validates():
     assert sol.kkt_residual == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(NotPositiveDefiniteError):
         model.make_solution(p, np.eye(2), b, np.diag([1.0, -1.0]), "qr")
+
+
+def test_make_solution_refuses_a_singular_factor():
+    # X is SPD in floating point, but its Cholesky factor has a pivot
+    # below the k * eps rule, so E(X) cannot be read.
+    p = model.ProblemInstance(d=np.eye(2), t=np.eye(2))
+    with pytest.raises(SingularTriangularError):
+        model.make_solution(p, np.eye(2), np.eye(2), np.diag([1.0, 1e-300]), "qr")
+
+
+def test_make_solution_inverts_the_n_by_n_factor(spy):
+    # E(X) applies Y^{-1} to T^T by a triangular product after one n-by-n
+    # inversion; no triangular solve runs on the m columns of T^T.
+    p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=2000, n=100, r=60, seed=0))
+    x = api.solve(p).x
+    f, b = linalg.qr_svd_decompose(p.d).r, linalg.gram(p.t)
+    solves = spy(linalg, "solve_triangular")
+    inverses = spy(linalg, "triangular_inverse")
+    model.make_solution(p, f, b, x, "rankdef_spectral")
+    assert solves.call_count == 0
+    assert inverses.call_count == 1
+    assert inverses.call_args.args[0].shape == (100, 100)
+
+
+def error_by_solve(p, x):
+    """||D Y - T Y^{-T}||_F^2 with Y^{-1} T^T from a triangular solve on the
+    m columns of T^T: the form make_solution used before it inverted Y."""
+    y = np.linalg.cholesky(x)
+    res = (p.d @ y).T - sla.solve_triangular(y, p.t.T, lower=True)
+    return float(np.sum(res * res))
+
+
+def hard_spectrum_solutions():
+    """Solutions where Y spans many orders of magnitude: 40x8, r=4 with
+    eig(A) from 1 to 1e-16 on the row space (X ~ 1e8) under both
+    rank-deficient routes, and noisy 200x12 full-rank data at cond(D) = 1e7."""
+    for seed in range(5):
+        spec = generate.GeneratorSpec(m=40, n=8, r=4, seed=seed, spectrum_a=np.geomspace(1, 1e-16, 4))
+        p = generate.gen_consistent_rankdef(spec)
+        for route in ("spectral", "cod"):
+            yield p, rankdef.solve_rankdef(p, route=route)
+    for seed in range(3):
+        spec = generate.GeneratorSpec(
+            m=200, n=12, r=12, seed=seed, noise_level=1e-6, spectrum_a=np.geomspace(1, 1e-7, 12)
+        )
+        p, _ = generate.gen_full_rank(spec)
+        yield p, api.solve(p)
+
+
+def test_make_solution_error_matches_solve_form_on_hard_spectra():
+    # The trace-oracle test's floor, 1e-12 ||T||_F^2, marks where E is
+    # rounding noise.  The cond 1e7 instances fit to E just below it, so
+    # the difference is held to 1e-10 of the larger of E and the floor,
+    # which is the relative bound above the floor and tighter than
+    # 0 <= E <= floor below it.
+    for p, sol in hard_spectrum_solutions():
+        ref = error_by_solve(p, sol.x)
+        floor = 1e-12 * np.linalg.norm(p.t) ** 2
+        assert sol.error_value >= 0.0
+        assert abs(sol.error_value - ref) <= 1e-10 * max(ref, floor)
 
 
 def routed_solutions():
