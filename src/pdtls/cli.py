@@ -2,9 +2,17 @@
 
 Exit codes: 0 success, 2 no solution (consistency failure), 3 invalid
 input, 1 internal error.
+
+Dispatch: the argument parser is built once per process and shared by
+every ``main`` call, since ``parse_args`` returns a fresh namespace and
+leaves the parser unchanged; rebuilding it cost more than a small solve.
+``main`` looks each subcommand's handler up by name (``cmd_<command>``)
+when it dispatches, so a function put in its place on this module (a
+tracer's wrapper, a test's spy) is the one called.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,6 +31,9 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_NO_SOLUTION = 2
 EXIT_INVALID = 3
+
+# `pdtls --help` prints the first two paragraphs of the module docstring.
+_DESCRIPTION = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
 
 
 class _UsageError(Exception):
@@ -206,8 +217,14 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="pdtls", description=__doc__)
+    """The ``pdtls`` parser, built on the first call; callers share it.
+
+    The parser binds no handler: the subcommand's name is ``command`` in
+    the parsed namespace, and ``main`` looks its handler up at call time.
+    """
+    parser = _Parser(prog="pdtls", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
@@ -227,7 +244,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--method", default="auto",
                     choices=["auto", "qr", "spectral", "rankdef-spectral", "rankdef-cod"])
     add_common(sp)
-    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("generate", help="generate a seeded test instance")
     sp.add_argument("--m", type=int, required=True)
@@ -237,13 +253,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--noise", type=float, default=0.0)
     sp.add_argument("--out-dir", default=".", dest="out_dir")
     sp.add_argument("--format", choices=io.FORMATS, default=None)
-    sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("check", help="run the consistency test only")
     sp.add_argument("--data", required=True)
     sp.add_argument("--target", required=True)
     add_common(sp)
-    sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("bench", help="run a solver suite and record metrics")
     sp.add_argument("--suite-dir", default=None, dest="suite_dir",
@@ -259,22 +273,19 @@ def build_parser() -> _Parser:
     sp.add_argument("--repetitions", type=int, default=3)
     sp.add_argument("--records", required=True, help="output CSV of run records")
     add_common(sp)
-    sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("profile", help="Dolan-More profile from a records CSV")
     sp.add_argument("--records", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--metric", choices=["time", "error"], default="time")
-    sp.set_defaults(func=cmd_profile)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return globals()[f"cmd_{args.command}"](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

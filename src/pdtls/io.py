@@ -36,7 +36,12 @@ def write_matrix(path, a, fmt: str | None = None) -> None:
     a = as_matrix(a)
     fmt = infer_format(path, fmt)
     if fmt == "mtx":
-        # Pass an open handle: scipy appends ".mtx" to bare filenames.
+        # Pass an open handle: scipy appends ".mtx" to bare filenames, and
+        # given a path into a missing directory scipy 1.17's mmwrite returns
+        # None and writes nothing, where open() raises FileNotFoundError
+        # (`pdtls solve --out` into a missing directory exits 3).  The path
+        # form writes in about 0.6-0.8x the time, but would make that a
+        # silent success.
         with open(path, "wb") as fh:
             scipy.io.mmwrite(fh, a, comment="", precision=17, symmetry="general")
     else:

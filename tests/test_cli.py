@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -89,6 +90,89 @@ def test_exit_codes_of_a_real_process(tmp_path):
     assert run_process(["check", "--data", sd, "--target", st]) == 2
     assert run_process(["solve", "--data", d, "--target", t, "--delta", "nan"]) == 3
     assert run_process(["solve", "--data", tmp_path / "missing.mtx", "--target", t]) == 3
+    assert run_process(["solve", "--data", d, "--target", t,
+                        "--out", tmp_path / "nodir" / "X.mtx"]) == 3
+    assert not (tmp_path / "nodir").exists()
+
+
+def generate_rankdef(out_dir):
+    """The files of a consistent 20x5 pair with rank(D) = 3."""
+    assert run(["generate", "--m", 20, "--n", 5, "--rank", 3, "--seed", 7,
+                "--out-dir", out_dir]) == 0
+    return out_dir / "D.mtx", out_dir / "T.mtx"
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    # Counts every parser, subparsers included, however the reuse is done.
+    d, t = generate_rankdef(tmp_path)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["generate", "--m", 20, "--n", 5, "--rank", 3, "--seed", 7,
+                "--out-dir", tmp_path / "again"]) == 0
+    assert run(["check", "--data", d, "--target", t, "--report", tmp_path / "check.json"]) == 0
+    assert run(["solve", "--data", d, "--target", t, "--report", tmp_path / "solve.json"]) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_handler_is_looked_up_when_called(tmp_path, monkeypatch, command):
+    # A wrapper put on the module after the parser exists is the one called,
+    # as perfbench's tracer relies on.
+    d, t = generate_rankdef(tmp_path)
+    argv = [command, "--data", d, "--target", t, "--report", tmp_path / "report.json"]
+    assert run(argv) == 0
+    seen = []
+
+    def spy(args):
+        seen.append((args.command, args.data))
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, f"cmd_{command}", spy)
+    assert run(argv) == 0
+    assert seen == [(command, str(d))]
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    d, t = generate_rankdef(tmp_path)
+    assert run(["solve", "--data", d, "--target", t, "--method", "rankdef-cod",
+                "--delta", "1e-3", "--rank-tol", "1e-6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["method"], report["delta"]) == ("rankdef-cod", 1e-3)
+    assert run(["solve", "--data", d, "--target", t, "--method", "nope"]) == 3
+    capsys.readouterr()
+    assert run(["solve", "--data", d, "--target", t]) == 0
+    report = json.loads(capsys.readouterr().out)
+    target = io.read_matrix(t)
+    assert report["method"] == "rankdef-spectral"
+    assert report["delta"] == rankdef.default_delta(linalg.symmetrize(target.T @ target))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_shared_parser_prints_a_fresh_parsers_help(monkeypatch, capsys, argv):
+    # The terminal width is read when help is printed, not when the shared
+    # parser was built.
+    def help_text(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    assert run(["solve", "--method", "nope"]) == 3
+    for columns in ("200", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        text = help_text(main)
+        assert text == help_text(cli.build_parser.__wrapped__().parse_args)
+    if argv == ["--help"]:
+        monkeypatch.setenv("COLUMNS", "200")
+        assert ("\nCommand-line interface: solve, generate, check, bench, profile. Exit codes: "
+                "0 success, 2 no solution (consistency failure), 3 invalid input, 1 internal "
+                "error.\n\n") in help_text(main)
 
 
 def test_solve_rankdef_partitions_once(tmp_path, spy):
@@ -203,6 +287,11 @@ def test_invalid_inputs_exit_3(tmp_path):
     assert run(["generate", "--m", 3, "--n", 5, "--rank", 2, "--seed", 1,
                 "--out-dir", tmp_path]) == 3
     assert run(["bench", "--records", tmp_path / "r.csv"]) == 3
+    # --out into a missing directory: no X, no report, no directory.
+    files = sorted(tmp_path.rglob("*"))
+    assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "D.mtx",
+                "--out", tmp_path / "nodir" / "X.mtx", "--report", tmp_path / "report.json"]) == 3
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_unreadable_compressed_input_exit_3(tmp_path):
