@@ -98,7 +98,9 @@ def run_suite(problems, solvers, repetitions: int = 3) -> list[RunRecord]:
     repetitions : wall_time is the minimum over this many repeats.
 
     Returns records sorted by (problem_id, solver_id); solver failures are
-    recorded with status "failed" and carry only the wall time.
+    recorded with status "failed" and carry only the wall time.  A failure
+    is a package error or a ValueError (numpy.linalg.LinAlgError among
+    them), such as a solve whose finite data overflows to Inf.
     """
     if not problems or not solvers:
         raise ValueError("need at least one problem and one solver")
@@ -114,7 +116,7 @@ def run_suite(problems, solvers, repetitions: int = 3) -> list[RunRecord]:
                 t0 = time.perf_counter()
                 try:
                     sol = solve(p)
-                except (PdtlsError, np.linalg.LinAlgError):
+                except (PdtlsError, ValueError):
                     failed = True
                 best = min(best, time.perf_counter() - t0)
                 if failed:

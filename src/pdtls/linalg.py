@@ -4,8 +4,15 @@ All higher-level solvers consume these wrappers instead of calling
 numpy/scipy directly, so conventions (sign of R's diagonal, eigenvalue
 ordering, rank tolerances) are fixed in one place.  Every function is pure
 and safe to call concurrently.
+
+The n-by-n factorizations of a solve call LAPACK directly through
+scipy.linalg.lapack: the same drivers numpy.linalg calls (dsyevd, dgesdd,
+dpotrf, dgesv), without its per-call dispatch, which costs more than the
+work itself at the sizes of small fits.  A nonzero LAPACK ``info`` raises
+numpy.linalg.LinAlgError, unless the wrapper names a typed error for it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,9 @@ __all__ = [
     "qr_decompose",
     "qr_svd_decompose",
     "spectral_decompose",
+    "symmetric_eigenvalues",
+    "singular_values",
+    "solve",
     "cholesky",
     "complete_orthogonal_decompose",
     "numeric_rank",
@@ -169,8 +179,7 @@ def qr_svd_decompose(a, rank_tol: float | None = None) -> QrSvdFactors:
         return QrSvdFactors(r=np.zeros((0, 0)), s=np.zeros(0), v=np.zeros((0, 0)), rank=0)
     r = _qr_triangle(a)
     _, s, vt, info = lapack.dgesdd(r, compute_uv=1, full_matrices=0)
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK dgesdd failed, info={info}")
+    _check_lapack("dgesdd", info)
     return QrSvdFactors(r=r, s=s, v=vt.T, rank=_rank_of(s, rank_tol))
 
 
@@ -186,15 +195,19 @@ def _qr_triangle(a: np.ndarray) -> np.ndarray:
     2000) and applied to the rest as one block reflector.  dgeqrf runs
     unblocked, BLAS-2 code below its crossover min(m, n) = 128, which the
     n of tall data rarely reaches.  The diagonal signs are those LAPACK
-    leaves.
+    leaves.  r is an owned copy: a view into dgeqrt's m-by-n output would
+    keep that alive for as long as r lives.
     """
     n = a.shape[1]
     if n == 0:  # dgeqrt needs a block of at least one column
         return np.zeros((0, 0))
     qr, _, info = lapack.dgeqrt(min(n, _QR_BLOCK), a)
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK dgeqrt failed, info={info}")
-    return np.triu(qr[:n])
+    _check_lapack("dgeqrt", info)
+    r = qr[:n].copy()
+    # Below the diagonal dgeqrt leaves its Householder vectors.
+    rows = np.arange(n)
+    r[rows[:, None] > rows] = 0.0
+    return r
 
 
 def spectral_decompose(a) -> SpectralFactors:
@@ -211,23 +224,87 @@ def spectral_decompose(a) -> SpectralFactors:
         raise AsymmetricMatrixError(
             "matrix is asymmetric beyond tolerance; symmetrize it explicitly first"
         )
-    w, u = np.linalg.eigh(symmetrize(a))
+    w, u, info = lapack.dsyevd(symmetrize(a), compute_v=1, lower=1)
+    _check_lapack("dsyevd", info)
     return SpectralFactors(u=u[:, ::-1].copy(), eigenvalues=w[::-1].copy())
+
+
+def symmetric_eigenvalues(a) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, descending, by LAPACK's dsyevd
+    without eigenvectors.
+
+    Only the lower triangle of a is read, as numpy.linalg.eigvalsh reads
+    it; unlike :func:`spectral_decompose`, a is not tested for symmetry.
+    """
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"symmetric_eigenvalues requires a square matrix, got {a.shape}")
+    w, _, info = lapack.dsyevd(a, compute_v=0, lower=1)
+    _check_lapack("dsyevd", info)
+    return w[::-1]
+
+
+def singular_values(a) -> np.ndarray:
+    """Singular values of a matrix, descending, by LAPACK's dgesdd without
+    singular vectors.
+
+    As numpy.linalg.svd does, and unlike :func:`as_matrix`, this takes
+    non-finite entries: dgesdd refuses a NaN, which raises LinAlgError.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if not min(a.shape):  # dgesdd rejects an empty matrix
+        return np.zeros(0)
+    _, s, _, info = lapack.dgesdd(a, compute_uv=0)
+    _check_lapack("dgesdd", info)
+    return s
+
+
+def solve(a, b) -> np.ndarray:
+    """Solve a @ x = b for a square a, by LAPACK's dgesv (LU with partial
+    pivoting), as numpy.linalg.solve does.
+
+    Non-finite entries are passed on, as numpy.linalg.solve passes them.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If a is exactly singular (a zero pivot of U).
+    DimensionError
+        If a is not square or b has another number of rows.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[:1] != a.shape[:1]:
+        raise DimensionError(f"cannot solve a {a.shape} matrix against {b.shape}")
+    _, _, x, info = lapack.dgesv(a, b)
+    _check_lapack("dgesv", info)
+    return x
 
 
 def cholesky(a) -> np.ndarray:
     """Lower triangular l with positive diagonal, l @ l.T = a, for an SPD matrix a.
 
+    LAPACK's dpotrf reads the lower triangle of a; the upper triangle of l
+    is zero.
+
     Raises
     ------
     NotPositiveDefiniteError
-        If a pivot <= 0 is encountered, i.e. the input is not SPD.
+        If a pivot <= 0 is encountered, i.e. the input is not SPD, or the
+        input is not square.
     """
     a = as_matrix(a)
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
+    if a.shape[0] != a.shape[1]:
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: not square, {a.shape}")
+    l, info = lapack.dpotrf(a, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite: its leading minor of order {info} is not positive"
+        )
+    _check_lapack("dpotrf", info)
+    return l
 
 
 def numeric_rank(a, rank_tol: float | None = None) -> int:
@@ -244,7 +321,7 @@ def numeric_rank(a, rank_tol: float | None = None) -> int:
 
 def _rank_of(s: np.ndarray, rank_tol: float) -> int:
     """Count the descending singular values s above ``rank_tol * s[0]``."""
-    if not (np.isfinite(rank_tol) and rank_tol > 0.0):
+    if not (math.isfinite(rank_tol) and rank_tol > 0.0):
         raise ValueError(f"rank_tol must be positive and finite, got {rank_tol}")
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -349,6 +426,12 @@ def _check_pivots(factor: np.ndarray) -> None:
     piv = np.abs(factor.diagonal())
     if piv.size and piv.min() <= piv.size * _EPS * piv.max():
         raise SingularTriangularError("triangular factor has a numerically zero pivot")
+
+
+def _check_lapack(routine: str, info: int) -> None:
+    """Raise LinAlgError on a nonzero info code of a LAPACK driver."""
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed, info={info}")
 
 
 def _check_info(routine: str, info: int) -> None:

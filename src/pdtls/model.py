@@ -153,7 +153,7 @@ def make_solution(
     without one.
     """
     x = linalg.symmetrize(linalg.as_matrix(x))
-    min_eig = float(np.linalg.eigvalsh(x).min())
+    min_eig = float(linalg.symmetric_eigenvalues(x).min())
     if min_eig <= 0.0:
         raise NotPositiveDefiniteError(
             f"computed solution has min eigenvalue {min_eig:.3e} <= 0"

@@ -191,7 +191,8 @@ def check_consistency(bp: BlockPartition, delta: float) -> ConsistencyReport:
     singular leading block B_rr, at any rank r >= 1, means the data cannot
     support an SPD solution: reported inconsistent with f_norm and
     b_rr_condition both inf.  Raises ValueError unless delta > 0 (a NaN
-    delta is rejected too).
+    delta is rejected too), and numpy.linalg.LinAlgError when LAPACK
+    cannot factor B_rr (a NaN in it): a failed computation, not a verdict.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -199,7 +200,7 @@ def check_consistency(bp: BlockPartition, delta: float) -> ConsistencyReport:
     schur = bp.b_nn
     cond = 1.0
     if r:
-        sv = np.linalg.svd(bp.b_rr, compute_uv=False)
+        sv = linalg.singular_values(bp.b_rr)
         if sv[-1] <= r * np.finfo(float).eps * sv[0]:
             return ConsistencyReport(
                 f_norm=float("inf"), delta=delta, consistent=False,
@@ -207,7 +208,7 @@ def check_consistency(bp: BlockPartition, delta: float) -> ConsistencyReport:
             )
         cond = float(sv[0] / sv[-1])
         if schur.size:
-            schur = schur - bp.b_rn.T @ np.linalg.solve(bp.b_rr, bp.b_rn)
+            schur = schur - bp.b_rn.T @ linalg.solve(bp.b_rr, bp.b_rn)
     f_norm = float(np.linalg.norm(schur)) if schur.size else 0.0
     return ConsistencyReport(
         f_norm=f_norm, delta=delta, consistent=bool(f_norm < delta), b_rr_condition=cond, rank=r

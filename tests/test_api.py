@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from pdtls import api, fullrank, generate, linalg, model, rankdef
+from pdtls import api, cli, fullrank, generate, io, linalg, model, rankdef
 from pdtls.errors import NoSolutionError, RankDeficiencyError
 
 
@@ -129,3 +129,44 @@ def test_kept_refusal_does_not_hold_the_factor(monkeypatch, method, d_diag, t_di
         api.solve(p, method)
     assert kept.value.__traceback__ is not None
     assert kept_alive and all(ref() is None for ref in kept_alive)
+
+
+NUMPY_FACTORIZATIONS = ("eigh", "eigvalsh", "svd", "solve", "cholesky", "qr")
+
+
+def test_solve_path_makes_no_numpy_linalg_factorization(monkeypatch, tmp_path):
+    # Every n-by-n factorization of a solve calls LAPACK through linalg's
+    # wrappers.  rankdef_cod is left out: its complete orthogonal
+    # decomposition still calls numpy and scipy, and ROADMAP item 3 deletes
+    # that route.
+    full = full_problem()
+    deficient = rankdef_problem()
+    noise = np.random.default_rng(5).standard_normal(deficient.t.shape)
+    inconsistent = model.ProblemInstance(d=deficient.d, t=deficient.t + 1e-3 * noise)
+    singular_t = model.ProblemInstance(d=full.d, t=full.t[:, [0, 1, 2, 3, 3]])
+    problems = [full, deficient, inconsistent, singular_t]
+    for name, p in (("full", full), ("inconsistent", inconsistent)):
+        io.write_matrix(tmp_path / f"{name}_D.mtx", p.d)
+        io.write_matrix(tmp_path / f"{name}_T.mtx", p.t)
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called on the solve path")
+        return call
+
+    for name in NUMPY_FACTORIZATIONS:
+        monkeypatch.setattr(np.linalg, name, forbidden(name))
+    outcomes = set()
+    for p in problems:
+        for method in ("auto", "qr", "spectral", "rankdef_spectral"):
+            try:
+                api.solve(p, method)
+                outcomes.add("ok")
+            except (NoSolutionError, RankDeficiencyError) as exc:
+                outcomes.add(type(exc).__name__)
+    assert outcomes == {"ok", "NoSolutionError", "RankDeficiencyError"}
+    for name, code in (("full", 0), ("inconsistent", 2)):
+        argv = ["solve", "--data", tmp_path / f"{name}_D.mtx",
+                "--target", tmp_path / f"{name}_T.mtx",
+                "--out", tmp_path / f"{name}_X.mtx", "--report", tmp_path / f"{name}.json"]
+        assert cli.main([str(a) for a in argv]) == code

@@ -92,6 +92,25 @@ def test_run_suite_records_failure():
     assert records[0].wall_time > 0
 
 
+def overflowing_pair():
+    """A 200x12 full-rank instance and a copy scaled by 1e150: finite data
+    whose solve overflows to Inf and raises ValueError."""
+    p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=200, n=12, r=12, seed=0))
+    return p, model.ProblemInstance(d=p.d * 1e150, t=p.t * 1e150)
+
+
+def test_run_suite_records_a_value_error_as_a_failed_run():
+    plain, scaled = overflowing_pair()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            fullrank.solve_qr(scaled)
+        records = bench.run_suite(
+            [("plain", plain), ("scaled", scaled)], {"qr": fullrank.solve_qr}, repetitions=2
+        )
+    assert [(r.problem_id, r.status) for r in records] == [("plain", "ok"), ("scaled", "failed")]
+    assert records[1].error_value is None and records[1].wall_time > 0
+
+
 def test_run_suite_deterministic_metrics():
     problems = []
     for i in range(10):

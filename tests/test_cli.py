@@ -376,6 +376,21 @@ def test_bench_suite_dir(tmp_path, capsys):
     assert "case0" in text and "case1" in text
 
 
+def test_bench_suite_dir_records_an_overflowing_solve(tmp_path, capsys):
+    # Finite input whose solve overflows is one failed run, not invalid input.
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=200, n=12, r=12, seed=0))
+    for name, scale in (("plain", 1.0), ("scaled", 1e150)):
+        io.write_matrix(suite / f"{name}_D.mtx", p.d * scale)
+        io.write_matrix(suite / f"{name}_T.mtx", p.t * scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["bench", "--suite-dir", suite, "--solvers", "qr", "--repetitions", 1,
+                    "--records", tmp_path / "records.csv"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == 1
+
+
 def test_bench_nontime_columns_deterministic(tmp_path):
     out = []
     for name in ("r1.csv", "r2.csv"):

@@ -315,3 +315,67 @@ def test_numeric_rank_rotation_invariance():
         base = linalg.numeric_rank(a, tol)
         assert linalg.numeric_rank(ql @ a, tol) == base
         assert linalg.numeric_rank(a @ qr_, tol) == base
+
+
+def well_separated_spd(n, seed):
+    """Q diag(1..n) Q^T: eigenvalues a unit apart, so eigenvectors are well
+    conditioned and comparable across LAPACK builds."""
+    q = generate.random_rotation(n, seed)
+    return linalg.symmetrize((q * np.arange(1.0, n + 1.0)) @ q.T)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 60])
+def test_lapack_wrappers_match_numpy(n):
+    rng = np.random.default_rng(n)
+    spd = well_separated_spd(n, n)
+    sym = spd - 0.5 * (n + 1) * np.eye(n)  # indefinite for n > 1
+    rect = rng.standard_normal((n + 2, n))
+    rhs = rng.standard_normal((n, 3))
+
+    def close(x, ref):
+        return np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    sf = linalg.spectral_decompose(sym)
+    w, u = np.linalg.eigh(sym)
+    assert np.all(np.diff(sf.eigenvalues) <= 0) and close(sf.eigenvalues, w[::-1])
+    signs = np.sign(np.sum(sf.u * u[:, ::-1], axis=0))
+    assert close(sf.u * signs, u[:, ::-1])
+    ev = linalg.symmetric_eigenvalues(sym)
+    assert np.all(np.diff(ev) <= 0) and close(ev, np.linalg.eigvalsh(sym)[::-1])
+    for a in (rect, rect.T, spd):
+        sv = linalg.singular_values(a)
+        assert np.all(np.diff(sv) <= 0) and close(sv, np.linalg.svd(a, compute_uv=False))
+    assert close(linalg.solve(sym + n * np.eye(n), rhs), np.linalg.solve(sym + n * np.eye(n), rhs))
+    l = linalg.cholesky(spd)
+    assert close(l, np.linalg.cholesky(spd))
+    assert np.array_equal(np.triu(l, 1), np.zeros((n, n)))
+
+
+def test_cholesky_reads_the_lower_triangle_and_refuses_a_non_square_input():
+    a = np.array([[4.0, 99.0], [2.0, 3.0]])  # the upper entry is not read
+    assert_allclose(linalg.cholesky(a), [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-14)
+    with pytest.raises(NotPositiveDefiniteError):
+        linalg.cholesky(np.ones((3, 2)))
+    with pytest.raises(NotPositiveDefiniteError):
+        linalg.cholesky(np.diag([1.0, 0.0]))
+
+
+def test_lapack_wrappers_refuse_bad_input():
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.singular_values(np.array([[np.nan, 1.0], [1.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.solve(np.zeros((2, 2)), np.ones((2, 1)))
+    with pytest.raises(DimensionError):
+        linalg.solve(np.eye(2), np.ones((3, 1)))
+    with pytest.raises(DimensionError):
+        linalg.symmetric_eigenvalues(np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        linalg.symmetric_eigenvalues(np.diag([1.0, np.inf]))
+    assert linalg.singular_values(np.zeros((3, 0))).shape == (0,)
+
+
+@pytest.mark.parametrize("m,n", [(40, 8), (2000, 100)])
+def test_qr_svd_triangle_owns_its_data(m, n):
+    # A view into dgeqrt's m-by-n output would keep all of it alive.
+    f = linalg.qr_svd_decompose(np.random.default_rng(m).standard_normal((m, n)))
+    assert f.r.shape == (n, n) and f.r.base is None

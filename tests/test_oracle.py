@@ -1,0 +1,67 @@
+"""Forward error of api.solve against an independent 50-digit oracle.
+
+The oracle is the matrix geometric mean of A^{-1} and B (Bhatia, Positive
+Definite Matrices, 2007, ch. 4), the unique SPD root of X A X = B:
+
+    X = A^{-1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2},  A = D^T D,  B = T^T T,
+
+formed from D and T in mpmath at 50 digits, each square root from the
+eigenpairs of mp.eigsy (mp.sqrtm does not converge at cond(A) = 1e5).
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from pdtls import api, generate
+
+DIGITS = 50
+
+# Relative forward-error bound per cond(D): ten times the largest error
+# api.solve showed on these cases when the oracle was introduced (1.10e-10
+# at 1e3 and 9.41e-7 at 1e5, over seeds 0-1, noise-free and noisy).
+BOUND = {1e3: 1.1e-9, 1e5: 9.4e-6}
+
+
+def _sqrt_pair(a):
+    """A^{1/2} and A^{-1/2} of an SPD mpmath matrix, from its eigenpairs."""
+    w, q = mpmath.eigsy(a)
+    n = a.rows
+    half, inv_half = mpmath.zeros(n, n), mpmath.zeros(n, n)
+    for i in range(n):
+        assert w[i] > 0
+        half[i, i] = mpmath.sqrt(w[i])
+        inv_half[i, i] = 1 / half[i, i]
+    return q * half * q.T, q * inv_half * q.T
+
+
+def oracle_root(d, t):
+    """The SPD solution of X A X = B for data d and target t, at DIGITS digits."""
+    with mpmath.workdps(DIGITS):
+        dm, tm = mpmath.matrix(d.tolist()), mpmath.matrix(t.tolist())
+        a_half, a_inv_half = _sqrt_pair(dm.T * dm)
+        core, _ = _sqrt_pair(a_half * (tm.T * tm) * a_half)
+        x = a_inv_half * core * a_inv_half
+        return np.array(x.tolist(), dtype=np.float64)
+
+
+def rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-6], ids=["noise_free", "noisy"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("cond", sorted(BOUND))
+def test_forward_error_against_the_oracle(cond, seed, noise):
+    spec = generate.GeneratorSpec(
+        m=200, n=12, r=12, seed=seed, spectrum_a=np.geomspace(1.0, 1.0 / cond, 12)
+    )
+    p, x0 = generate.gen_full_rank(spec)
+    if noise:
+        p = generate.inject_noise(p, noise, seed)
+    ref = oracle_root(p.d, p.t)
+    if not noise:
+        # The generator's X0 solves the noise-free data up to the rounding
+        # of T = D X0, which checks the oracle itself.
+        assert rel(x0, ref) <= 1e-12
+    assert rel(api.solve(p).x, ref) <= BOUND[cond]

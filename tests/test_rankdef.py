@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -103,6 +104,17 @@ def test_check_consistency_rejects_bad_delta(delta):
     p = diag_problem()
     with pytest.raises(ValueError):
         rankdef.check_consistency(rankdef.partition_spectral(p), delta)
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=["r_equals_n", "r_below_n"])
+def test_check_consistency_refuses_a_nan_leading_block(n):
+    # A B_rr that LAPACK cannot factor is a failed computation, not a
+    # verdict on the data: LinAlgError, never NoSolutionError.
+    p = model.ProblemInstance(d=np.diag([1.0, 1.0, 0.0][:n]), t=np.eye(n))
+    bp = rankdef.partition_spectral(p)
+    bp = dataclasses.replace(bp, b_rr=np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        rankdef.check_consistency(bp, 1e-8)
 
 
 def test_check_consistency_singular_leading_block():
