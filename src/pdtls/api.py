@@ -14,9 +14,18 @@ import dataclasses
 
 from . import fullrank, model, rankdef
 
-__all__ = ["METHODS", "solve"]
+__all__ = ["METHODS", "route_tag", "solve"]
 
 METHODS = ("auto", "qr", "spectral", "rankdef_spectral", "rankdef_cod")
+
+
+def route_tag(method: str, rank: int, n: int) -> str:
+    """The solution's tag along ``method`` (a "-" may stand for "_") at D's
+    rank ``rank`` of n: "auto" names its route, "qr" or "rankdef_spectral"."""
+    method = method.replace("-", "_")
+    if method == "auto":
+        return "qr" if rank == n else "rankdef_spectral"
+    return method
 
 
 def solve(
@@ -31,7 +40,8 @@ def solve(
     "qr" and "spectral" name one computation: they refuse rank-deficient D
     with RankDeficiencyError, and otherwise solve at r = n.
     "rankdef_spectral" solves at D's numeric rank r, whatever it is.
-    "auto" runs "rankdef_spectral" and tags the solution "qr" when r = n.
+    "auto" runs "rankdef_spectral" and tags the solution by route_tag:
+    "qr" when r = n.
     rank_tol is the relative rank tolerance of D; delta is the consistency
     threshold, on every route.  The solution's ``rank`` is the rank the
     route used, and its ``consistency`` the report that admitted it; a
@@ -49,6 +59,5 @@ def solve(
     sol = rankdef.solve_partition(
         p, rankdef.partition_spectral(p, rank_tol), "rankdef_spectral", delta=delta
     )
-    if method == "auto" and sol.rank == p.n:
-        return dataclasses.replace(sol, method_tag="qr")
-    return sol
+    tag = route_tag(method, sol.rank, p.n)
+    return sol if tag == sol.method_tag else dataclasses.replace(sol, method_tag=tag)

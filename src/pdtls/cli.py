@@ -87,9 +87,7 @@ def cmd_solve(args) -> int:
     try:
         sol = api.solve(p, args.method, rank_tol=args.rank_tol, delta=args.delta)
     except NoSolutionError as exc:
-        method = args.method
-        if method == "auto":  # the route auto took, as it tags a solution
-            method = "qr" if exc.report.rank == p.n else "rankdef-spectral"
+        method = api.route_tag(args.method, exc.report.rank, p.n).replace("_", "-")
         report = {"method": method, "rank_r": exc.report.rank}
         report.update(_consistency_fields(exc.report), E=None, kkt_residual=None, min_eigenvalue=None)
         _emit_report(report, args.report)
@@ -242,7 +240,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--target", required=True)
     sp.add_argument("--out", default=None, help="file for the computed X")
     sp.add_argument("--method", default="auto",
-                    choices=["auto", "qr", "spectral", "rankdef-spectral", "rankdef-cod"])
+                    choices=[method.replace("_", "-") for method in api.METHODS])
     add_common(sp)
 
     sp = sub.add_parser("generate", help="generate a seeded test instance")

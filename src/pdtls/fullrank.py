@@ -6,7 +6,7 @@ give A = V S^2 V^T without A being formed; the partition of B = T^T T in
 the basis V is B itself; the consistency test refuses a numerically
 singular B (a rank-deficient T) with NoSolutionError; and the root is
 
-    X* = V S^{-1} (S V^T B V S)^{1/2} S^{-1} V^T    (rankdef.spd_root_diag).
+    X* = V S^{-1} (S V^T B V S)^{1/2} S^{-1} V^T    (rankdef.solve_partition).
 
 solve_qr and solve_spectral name that one computation, and return the
 same X bit for bit; they differ only in the solution's method tag.  Each

@@ -7,7 +7,7 @@ and safe to call concurrently.
 
 The n-by-n factorizations of a solve call LAPACK directly through
 scipy.linalg.lapack: the same drivers numpy.linalg calls (dsyevd, dgesdd,
-dpotrf, dgesv), without its per-call dispatch, which costs more than the
+dpotrf), without its per-call dispatch, which costs more than the
 work itself at the sizes of small fits.  A nonzero LAPACK ``info`` raises
 numpy.linalg.LinAlgError, unless the wrapper names a typed error for it.
 """
@@ -39,7 +39,6 @@ __all__ = [
     "spectral_decompose",
     "symmetric_eigenvalues",
     "singular_values",
-    "solve",
     "cholesky",
     "complete_orthogonal_decompose",
     "numeric_rank",
@@ -259,28 +258,6 @@ def singular_values(a) -> np.ndarray:
     _, s, _, info = lapack.dgesdd(a, compute_uv=0)
     _check_lapack("dgesdd", info)
     return s
-
-
-def solve(a, b) -> np.ndarray:
-    """Solve a @ x = b for a square a, by LAPACK's dgesv (LU with partial
-    pivoting), as numpy.linalg.solve does.
-
-    Non-finite entries are passed on, as numpy.linalg.solve passes them.
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        If a is exactly singular (a zero pivot of U).
-    DimensionError
-        If a is not square or b has another number of rows.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[:1] != a.shape[:1]:
-        raise DimensionError(f"cannot solve a {a.shape} matrix against {b.shape}")
-    _, _, x, info = lapack.dgesv(a, b)
-    _check_lapack("dgesv", info)
-    return x
 
 
 def cholesky(a) -> np.ndarray:

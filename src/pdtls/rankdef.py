@@ -8,20 +8,22 @@ Xt = U^T X U and Bt = U^T B U:
     (II)  Xt_rr S^2 Xt_rn = Bt_rn
     (III) Xt_nr S^2 Xt_rn = Bt_nn
 
-with S^2 the diagonal of positive eigenvalues of A.  (I) is an r-by-r
-full-rank instance of the same problem, solved by the closed form
-S^{-1} (S Bt_rr S)^{1/2} S^{-1} (spd_root_diag); (II) is a nonsingular
-linear system; (III) is solvable only when the Schur complement
-B_nn - B_rn^T B_rr^{-1} B_rn of B_rr in Bt vanishes, which is tested
-against a threshold delta before solving.  Full-rank data is the case
-r = n: (II) and (III) are empty, the complement is 0-by-0, and the test
-refuses only a numerically singular B (a rank-deficient T).
-The trailing diagonal block of Xt is free: any nonsingular lower
-triangular L_free yields an SPD completion via the block Cholesky
-identities
+with S^2 the diagonal of positive eigenvalues of A.  One eigendecomposition
+of the r-by-r core, S Bt_rr S = W diag(lam) W^T, serves all three
+(BlockPartition.core).  With G = W^T S Bt_rn, (III) is solvable only when
+the Schur complement Bt_nn - Bt_rn^T Bt_rr^{-1} Bt_rn = Bt_nn - G^T
+diag(lam)^{-1} G vanishes, which is tested against a threshold delta
+before solving.  The trailing diagonal block of Xt is free: any
+nonsingular lower triangular L_free completes the solution of (I) and
+(II) to an SPD Xt = Yt Yt^T, with
 
-    Xt_rr = L_rr L_rr^T,  Xt_rn = L_rr L_nr^T,
-    Xt_nn = L_nr L_nr^T + L_free L_free^T.
+    Yt = [[S^{-1} W diag(lam)^{1/4},  0     ],
+          [G^T diag(lam)^{-3/4},      L_free]],
+
+whose leading block gives Xt_rr = S^{-1} (S Bt_rr S)^{1/2} S^{-1}, the
+full-rank closed form.  Full-rank data is the case r = n: (II) and (III)
+are empty, the complement is 0-by-0, and the test refuses only a
+numerically singular B (a rank-deficient T).
 
 Two routes build the basis U, neither forming A: the SVD of the triangle
 R of D = Q R, whose right singular vectors are the eigenvectors of A and
@@ -31,6 +33,8 @@ Each partition forms B = T^T T once and keeps it, with its factor of A,
 for the consistency threshold and the solution's diagnostics.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,6 @@ __all__ = [
     "ConsistencyReport",
     "CompletionChoice",
     "default_delta",
-    "spd_root_diag",
     "partition_spectral",
     "partition_cod",
     "check_consistency",
@@ -61,7 +64,8 @@ class BlockPartition:
     of D and diagonalize the nonzero part of A with eigenvalues s**2.
     b_rr, b_rn, b_nn are the blocks of basis_u^T B basis_u.  b is B = T^T T
     itself, and factor is the partition's factor of A (factor^T factor = A,
-    n columns).
+    n columns).  core holds the eigenpairs of the r-by-r core, taken on
+    first use, which the consistency test and the solve share.
     """
 
     r: int
@@ -72,6 +76,17 @@ class BlockPartition:
     basis_u: np.ndarray
     b: np.ndarray
     factor: np.ndarray
+
+    @functools.cached_property
+    def core(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lam, w, g): S B_rr S = w diag(lam) w^T with lam descending,
+        S = diag(s), and g = w^T S B_rn.
+
+        Taken lazily, so that check_consistency's singularity rule decides
+        first; a non-finite S B_rr S raises ValueError.
+        """
+        f = linalg.spectral_decompose(self.s[:, None] * self.b_rr * self.s[None, :])
+        return f.eigenvalues, f.u, f.u.T @ (self.s[:, None] * self.b_rn)
 
 
 @dataclass(frozen=True)
@@ -109,21 +124,6 @@ class CompletionChoice:
     @classmethod
     def identity(cls, size: int) -> "CompletionChoice":
         return cls(l_free=np.eye(size))
-
-
-def spd_root_diag(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """SPD root S^{-1} (S B S)^{1/2} S^{-1} of X S^2 X = B, S = diag(s), s > 0.
-
-    Raises NotPositiveDefiniteError when S B S is not positive definite.
-    """
-    q_tilde = linalg.symmetrize(s[:, None] * b * s[None, :])
-    inner = linalg.spectral_decompose(q_tilde)
-    if inner.eigenvalues[-1] <= 0.0:
-        raise NotPositiveDefiniteError(
-            "S B S is not positive definite (target matrix is rank deficient)"
-        )
-    core = (inner.u * np.sqrt(inner.eigenvalues)) @ inner.u.T
-    return core / s[:, None] / s[None, :]
 
 
 def default_delta(b) -> float:
@@ -184,15 +184,18 @@ def check_consistency(bp: BlockPartition, delta: float) -> ConsistencyReport:
     """Threshold test for existence of an SPD solution, read from the partition.
 
     (III) is solvable iff the Schur complement of B_rr in Bt vanishes, so
-    this measures f_norm = ||B_nn - B_rn^T B_rr^{-1} B_rn||_F and flags the
-    instance consistent iff f_norm < delta.  At r = 0 the complement is
-    B_nn itself, f_norm = ||B||_F and b_rr_condition is 1.0; at r = n it is
-    empty, f_norm = 0 and b_rr_condition is cond(B).  A numerically
-    singular leading block B_rr, at any rank r >= 1, means the data cannot
-    support an SPD solution: reported inconsistent with f_norm and
-    b_rr_condition both inf.  Raises ValueError unless delta > 0 (a NaN
-    delta is rejected too), and numpy.linalg.LinAlgError when LAPACK
-    cannot factor B_rr (a NaN in it): a failed computation, not a verdict.
+    this measures f_norm = ||B_nn - B_rn^T B_rr^{-1} B_rn||_F, read from the
+    partition's core eigenpairs as ||B_nn - g^T diag(lam)^{-1} g||_F, and
+    flags the instance consistent iff f_norm < delta.  At r = 0 the
+    complement is B_nn itself, f_norm = ||B||_F and b_rr_condition is 1.0;
+    at r = n it is empty, f_norm = 0 and b_rr_condition is cond(B).  A
+    numerically singular leading block B_rr, at any rank r >= 1, means the
+    data cannot support an SPD solution: reported inconsistent with f_norm
+    and b_rr_condition both inf, before the core is decomposed.  Raises
+    ValueError unless delta > 0 (a NaN delta is rejected too), and
+    numpy.linalg.LinAlgError when LAPACK cannot take the singular values of
+    B_rr (a NaN in it) or the measured f_norm is NaN or Inf (the arithmetic
+    under- or overflowed): a failed computation, not a verdict.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -207,9 +210,19 @@ def check_consistency(bp: BlockPartition, delta: float) -> ConsistencyReport:
                 b_rr_condition=float("inf"), rank=r,
             )
         cond = float(sv[0] / sv[-1])
-        if schur.size:
-            schur = schur - bp.b_rn.T @ linalg.solve(bp.b_rr, bp.b_rn)
-    f_norm = float(np.linalg.norm(schur)) if schur.size else 0.0
+    f_norm = 0.0
+    if schur.size:
+        # A core eigenvalue that underflowed to 0, or a misfit past the
+        # largest float, gives a non-finite f_norm, refused below.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if r:
+                lam, _, g = bp.core
+                schur = schur - g.T @ (g / lam[:, None])
+            f_norm = float(np.linalg.norm(schur))
+    if not math.isfinite(f_norm):
+        raise np.linalg.LinAlgError(
+            f"consistency misfit f_norm={f_norm} is not finite: the data under- or overflowed"
+        )
     return ConsistencyReport(
         f_norm=f_norm, delta=delta, consistent=bool(f_norm < delta), b_rr_condition=cond, rank=r
     )
@@ -241,6 +254,10 @@ def solve_rankdef(
         including when B_rr is numerically singular, at any rank.
     NotPositiveDefiniteError
         If the leading block B_rr is not SPD.
+    ValueError
+        numpy.linalg.LinAlgError among them, if the arithmetic under- or
+        overflows on the data, so that the consistency test cannot measure
+        its misfit.
     """
     # The partition is passed on, not kept here: a caller that keeps a
     # refusal keeps this frame.
@@ -286,26 +303,21 @@ def solve_partition(
         raise DimensionError(
             f"l_free must be {n - r}x{n - r} for this instance, got {l_free.shape}"
         )
-    xt = np.zeros((n, n))
+    # X = U Yt Yt^T U^T with Yt block lower triangular; see the module docstring.
+    yt = l_free
     if r:
-        x_rr = spd_root_diag(bp.s, bp.b_rr)
-        xt[:r, :r] = x_rr
+        lam, w, g = bp.core
+        if lam[-1] <= 0.0:
+            raise NotPositiveDefiniteError(
+                "S B S is not positive definite (target matrix is rank deficient)"
+            )
+        yt = np.zeros((n, n))
+        yt[:r, :r] = w * lam**0.25 / bp.s[:, None]
         if n > r:
-            l_rr = linalg.cholesky(x_rr)
-            # (II): Xt_rr (S^2 Xt_rn) = Bt_rn via two triangular solves,
-            # then undo the diagonal scaling.
-            w = linalg.solve_triangular(l_rr, bp.b_rn, lower=True)
-            z = linalg.solve_triangular(l_rr, w, lower=True, trans=True)
-            x_rn = z / (bp.s**2)[:, None]
-            # Block Cholesky completion: L_nr^T from Xt_rn = L_rr L_nr^T.
-            l_nr_t = linalg.solve_triangular(l_rr, x_rn, lower=True)
-            xt[:r, r:] = x_rn
-            xt[r:, :r] = x_rn.T
-            xt[r:, r:] = l_nr_t.T @ l_nr_t + l_free @ l_free.T
-    else:
-        xt[:, :] = l_free @ l_free.T
-    x = bp.basis_u @ xt @ bp.basis_u.T
-    return model.make_solution(p, bp.factor, bp.b, x, method_tag, report)
+            yt[r:, :r] = g.T * lam**-0.75
+            yt[r:, r:] = l_free
+    y = bp.basis_u @ yt
+    return model.make_solution(p, bp.factor, bp.b, y @ y.T, method_tag, report)
 
 
 def block_residuals(bp: BlockPartition, x) -> tuple[float, float]:

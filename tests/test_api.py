@@ -94,6 +94,58 @@ def test_d_is_read_by_one_qr_kernel_call(method, kind, spy):
     assert shapes == ([(p.n, p.n)] if method == "rankdef_cod" else [])
 
 
+@pytest.mark.parametrize("method, kind", METHOD_KINDS)
+def test_one_eigendecomposition_and_one_cholesky(method, kind, spy):
+    # The consistency test and the solve share one eigendecomposition of the
+    # r-by-r core; make_solution's Cholesky factor of X is the only one, and
+    # no triangular system is solved.
+    p = full_problem() if kind == "full" else rankdef_problem()
+    calls = [spy(linalg, name) for name in ("spectral_decompose", "cholesky", "solve_triangular")]
+    rep = api.solve(p, method).consistency
+    assert [c.call_count for c in calls] == [1, 1, 0]
+    if kind == "full":  # the complement is empty: nothing to measure
+        assert (rep.rank, rep.f_norm, rep.consistent) == (p.n, 0.0, True)
+        assert rep.b_rr_condition == pytest.approx(np.linalg.cond(p.t.T @ p.t), rel=1e-8)
+
+
+def scaled(p, k):
+    return model.ProblemInstance(d=k * p.d, t=k * p.t)
+
+
+def subnormal_full_rank(seed):
+    # cond(D) = 1e9, noise-free: D's numeric rank is 11, and under 1e-160
+    # B_rr holds subnormals that pass the singularity rule.
+    spec = generate.GeneratorSpec(m=200, n=12, r=12, seed=seed,
+                                  spectrum_a=np.geomspace(1.0, 1e-9, 12))
+    return scaled(generate.gen_full_rank(spec)[0], 1e-160)
+
+
+def scaled_rank_7(k):
+    return scaled(generate.gen_consistent_rankdef(generate.GeneratorSpec(m=200, n=12, r=7, seed=0)), k)
+
+
+# Finite data whose consistency misfit the arithmetic cannot measure: the
+# core S B_rr S underflows to 0 (x1e-160) or overflows (x1e150, where
+# ||B||_F overflows too).
+UNMEASURABLE = {
+    "full_rank_x1e-160_seed0": lambda: subnormal_full_rank(0),
+    "full_rank_x1e-160_seed1": lambda: subnormal_full_rank(1),
+    "rank_7_x1e-160": lambda: scaled_rank_7(1e-160),
+    "rank_7_x1e150": lambda: scaled_rank_7(1e150),
+}
+
+
+@pytest.mark.parametrize("method", ["auto", "rankdef_cod"])
+@pytest.mark.parametrize("case", sorted(UNMEASURABLE))
+def test_no_verdict_on_arithmetic_that_never_ran(case, method):
+    p = UNMEASURABLE[case]()
+    # An under- or overflow is a failed computation (ValueError, LinAlgError
+    # among them), never a NoSolutionError verdict on the data.
+    expected = ValueError if case.endswith("x1e150") else np.linalg.LinAlgError
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(expected):
+        api.solve(p, method)
+
+
 @pytest.mark.parametrize("solve", [fullrank.solve_qr, fullrank.solve_spectral, api.solve],
                          ids=["solve_qr", "solve_spectral", "api_solve"])
 def test_full_rank_is_one_partition_solve(solve, spy):

@@ -294,6 +294,24 @@ def test_invalid_inputs_exit_3(tmp_path):
     assert sorted(tmp_path.rglob("*")) == files
 
 
+@pytest.mark.parametrize("kind, scale", [("full_rank", 1e-160), ("rank_7", 1e-160), ("rank_7", 1e150)])
+def test_unmeasurable_misfit_exit_3(tmp_path, kind, scale):
+    # Finite data on which the consistency misfit under- or overflows: the
+    # arithmetic failed, which is not "no SPD solution" (exit 2).
+    if kind == "full_rank":  # cond(D) = 1e9, so D's numeric rank is 11
+        spec = generate.GeneratorSpec(m=200, n=12, r=12, seed=0,
+                                      spectrum_a=np.geomspace(1.0, 1e-9, 12))
+        p, _ = generate.gen_full_rank(spec)
+    else:
+        p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=200, n=12, r=7, seed=0))
+    io.write_matrix(tmp_path / "D.mtx", scale * p.d)
+    io.write_matrix(tmp_path / "T.mtx", scale * p.t)
+    for command in ("solve", "check"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run([command, "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx"])
+        assert code == 3
+
+
 def test_unreadable_compressed_input_exit_3(tmp_path):
     # scipy's reader decompresses a path ending in .gz; a plain-text file
     # under that name is invalid input, not an internal error.

@@ -112,18 +112,30 @@ def test_global_minimality_probe():
 
 
 # X A X = B is a special case of the continuous-time algebraic Riccati
-# equation; spd_root_diag is its closed form for a diagonal A = S^2, and a
-# route reduces any A = R^T R to that form, here with D = R as the data.
+# equation; the r = n solve from a partition is its closed form for a
+# diagonal A = S^2, and a route reduces any A = R^T R to that form, here
+# with D = R as the data.
+
+
+def care_root(s, b):
+    """The root of X diag(s)^2 X = b, solved from the r = n partition of b."""
+    n = len(s)
+    bp = rankdef.BlockPartition(
+        r=n, b_rr=b, b_rn=np.zeros((n, 0)), b_nn=np.zeros((0, 0)),
+        s=s, basis_u=np.eye(n), b=b, factor=np.diag(s),
+    )
+    p = model.ProblemInstance(d=np.diag(s), t=np.eye(n))
+    return rankdef.solve_partition(p, bp, "qr").x
 
 
 def test_care_special_identity():
-    x = rankdef.spd_root_diag(np.ones(3), np.eye(3))
+    x = care_root(np.ones(3), np.eye(3))
     assert_allclose(x, np.eye(3), atol=1e-12)
 
 
 def test_care_special_decoupled_scalars():
     # A = diag(1, 4) = S^2 with S = diag(1, 2)
-    x = rankdef.spd_root_diag(np.array([1.0, 2.0]), np.diag([4.0, 4.0]))
+    x = care_root(np.array([1.0, 2.0]), np.diag([4.0, 4.0]))
     assert_allclose(x, np.diag([2.0, 1.0]), atol=1e-12)
 
 
@@ -142,7 +154,7 @@ def test_care_special_random_residual():
 def test_care_special_rejects_indefinite():
     # S B S is not positive definite, so no SPD root exists.
     with pytest.raises(NotPositiveDefiniteError):
-        rankdef.spd_root_diag(np.array([1.0, 2.0]), np.diag([1.0, -1.0]))
+        care_root(np.array([1.0, 2.0]), np.diag([1.0, -1.0]))
 
 
 def test_rank_deficient_data_raises():

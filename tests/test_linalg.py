@@ -330,7 +330,6 @@ def test_lapack_wrappers_match_numpy(n):
     spd = well_separated_spd(n, n)
     sym = spd - 0.5 * (n + 1) * np.eye(n)  # indefinite for n > 1
     rect = rng.standard_normal((n + 2, n))
-    rhs = rng.standard_normal((n, 3))
 
     def close(x, ref):
         return np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -345,7 +344,6 @@ def test_lapack_wrappers_match_numpy(n):
     for a in (rect, rect.T, spd):
         sv = linalg.singular_values(a)
         assert np.all(np.diff(sv) <= 0) and close(sv, np.linalg.svd(a, compute_uv=False))
-    assert close(linalg.solve(sym + n * np.eye(n), rhs), np.linalg.solve(sym + n * np.eye(n), rhs))
     l = linalg.cholesky(spd)
     assert close(l, np.linalg.cholesky(spd))
     assert np.array_equal(np.triu(l, 1), np.zeros((n, n)))
@@ -363,10 +361,6 @@ def test_cholesky_reads_the_lower_triangle_and_refuses_a_non_square_input():
 def test_lapack_wrappers_refuse_bad_input():
     with pytest.raises(np.linalg.LinAlgError):
         linalg.singular_values(np.array([[np.nan, 1.0], [1.0, 1.0]]))
-    with pytest.raises(np.linalg.LinAlgError):
-        linalg.solve(np.zeros((2, 2)), np.ones((2, 1)))
-    with pytest.raises(DimensionError):
-        linalg.solve(np.eye(2), np.ones((3, 1)))
     with pytest.raises(DimensionError):
         linalg.symmetric_eigenvalues(np.ones((3, 2)))
     with pytest.raises(ValueError):

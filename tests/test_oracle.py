@@ -7,6 +7,14 @@ Definite Matrices, 2007, ch. 4), the unique SPD root of X A X = B:
 
 formed from D and T in mpmath at 50 digits, each square root from the
 eigenpairs of mp.eigsy (mp.sqrtm does not converge at cond(A) = 1e5).
+
+For D of rank r < n the oracle takes the same block split as the solver,
+from the eigenpairs of A = D^T D: the r leading eigenvectors V_r span the
+row space, with A = V_r diag(a_r) V_r^T, and the rest V_n its complement.
+In that basis the core X_rr is the geometric mean above with A_r =
+diag(a_r), X_rn = A_r^{-1} X_rr^{-1} B_rn, and X_nn = X_rn^T X_rr^{-1}
+X_rn + I, the completion with L_free = I.  That X does not depend on the
+choice of V_n.
 """
 
 import mpmath
@@ -21,6 +29,10 @@ DIGITS = 50
 # api.solve showed on these cases when the oracle was introduced (1.10e-10
 # at 1e3 and 9.41e-7 at 1e5, over seeds 0-1, noise-free and noisy).
 BOUND = {1e3: 1.1e-9, 1e5: 9.4e-6}
+# The same rule for consistent 200x12 data of rank 7 with eig(A) from 1
+# down to 1/cond: 1.79e-15 at 1e3 and 1.91e-15 at 1e5, over seeds 0-1,
+# before the solve read the core from one eigendecomposition.
+RANKDEF_BOUND = {1e3: 1.8e-14, 1e5: 1.9e-14}
 
 
 def _sqrt_pair(a):
@@ -45,6 +57,34 @@ def oracle_root(d, t):
         return np.array(x.tolist(), dtype=np.float64)
 
 
+def oracle_rankdef_root(d, t, r):
+    """The SPD solution with L_free = I of X A X = B at rank r, at DIGITS digits."""
+    with mpmath.workdps(DIGITS):
+        dm, tm = mpmath.matrix(d.tolist()), mpmath.matrix(t.tolist())
+        w, q = mpmath.eigsy(dm.T * dm)
+        n = dm.cols
+        order = sorted(range(n), key=lambda i: -w[i])
+        v = mpmath.matrix(n, n)
+        for j, i in enumerate(order):
+            v[:, j] = q[:, i]
+        a_half, a_inv_half = mpmath.zeros(r, r), mpmath.zeros(r, r)
+        for j in range(r):
+            a_half[j, j] = mpmath.sqrt(w[order[j]])
+            a_inv_half[j, j] = 1 / a_half[j, j]
+        bt = v.T * (tm.T * tm) * v
+        b_rr, b_rn = bt[:r, :r], bt[:r, r:]
+        core, _ = _sqrt_pair(a_half * b_rr * a_half)
+        x_rr = a_inv_half * core * a_inv_half
+        x_rr_inv = mpmath.inverse(x_rr)
+        x_rn = a_inv_half * a_inv_half * x_rr_inv * b_rn
+        xt = mpmath.zeros(n, n)
+        xt[:r, :r] = x_rr
+        xt[:r, r:] = x_rn
+        xt[r:, :r] = x_rn.T
+        xt[r:, r:] = x_rn.T * x_rr_inv * x_rn + mpmath.eye(n - r)
+        return np.array((v * xt * v.T).tolist(), dtype=np.float64)
+
+
 def rel(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
@@ -65,3 +105,19 @@ def test_forward_error_against_the_oracle(cond, seed, noise):
         # of T = D X0, which checks the oracle itself.
         assert rel(x0, ref) <= 1e-12
     assert rel(api.solve(p).x, ref) <= BOUND[cond]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("cond", sorted(RANKDEF_BOUND))
+def test_rank_deficient_forward_error_against_the_oracle(cond, seed):
+    spec = generate.GeneratorSpec(
+        m=200, n=12, r=7, seed=seed, spectrum_a=np.geomspace(1.0, 1.0 / cond, 7)
+    )
+    p = generate.gen_consistent_rankdef(spec)
+    ref = oracle_rankdef_root(p.d, p.t, 7)
+    # The oracle solves X A X = B on the generator's consistent data.
+    a, b = p.d.T @ p.d, p.t.T @ p.t
+    assert np.linalg.norm(ref @ a @ ref - b) <= 1e-12 * np.linalg.norm(b)
+    sol = api.solve(p)
+    assert sol.rank == 7
+    assert rel(sol.x, ref) <= RANKDEF_BOUND[cond]

@@ -117,6 +117,16 @@ def test_check_consistency_refuses_a_nan_leading_block(n):
         rankdef.check_consistency(bp, 1e-8)
 
 
+def test_check_consistency_refuses_a_non_finite_misfit():
+    # At r = 0 the complement is B itself: finite entries of about 3e306
+    # whose Frobenius norm overflows.  No verdict, inconsistent or not.
+    p = model.ProblemInstance(d=np.zeros((3, 2)), t=np.full((3, 2), 1e153))
+    bp = rankdef.partition_spectral(p)
+    assert bp.r == 0 and np.isfinite(bp.b_nn).all()
+    with pytest.raises(np.linalg.LinAlgError):
+        rankdef.check_consistency(bp, 1.0)
+
+
 def test_check_consistency_singular_leading_block():
     # rank(B) < r forces a singular B_rr: reported inconsistent with inf markers
     d3 = np.diag([1.0, 1.0, 0.0])
@@ -139,17 +149,6 @@ def test_check_consistency_generator_round_trip():
         rep = rankdef.check_consistency(bp, 1e-8 * max(1.0, np.linalg.norm(b)))
         assert rep.consistent
         assert rep.f_norm <= 1e-8 * np.linalg.norm(b)
-
-
-@pytest.mark.parametrize("route", ["spectral", "cod"])
-def test_check_consistency_at_full_rank_solves_nothing(route, spy):
-    # At r = n the Schur complement is empty: no linear solve, f_norm 0.
-    p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=40, n=8, r=8, seed=7))
-    solve = spy(np.linalg, "solve")
-    rep = rankdef.solve_rankdef(p, route=route).consistency
-    assert solve.call_count == 0
-    assert (rep.rank, rep.f_norm, rep.consistent) == (8, 0.0, True)
-    assert rep.b_rr_condition == pytest.approx(np.linalg.cond(gram_b(p)), rel=1e-8)
 
 
 def n_row_f_norm(bp, b):
@@ -198,13 +197,15 @@ def test_check_consistency_matches_n_row_oracle(route):
 
 
 def test_core_root_rejects_indefinite_block():
-    # The r-by-r core is rooted as solve_rankdef does it.
+    # B_rr is nonsingular, so the test admits it, but the core S B_rr S has
+    # a negative eigenvalue: no SPD root exists.
     bp = rankdef.BlockPartition(
         r=2, b_rr=np.diag([1.0, -1.0]), b_rn=np.zeros((2, 0)), b_nn=np.zeros((0, 0)),
         s=np.ones(2), basis_u=np.eye(2), b=np.diag([1.0, -1.0]), factor=np.eye(2),
     )
+    p = model.ProblemInstance(d=np.eye(2), t=np.eye(2))
     with pytest.raises(NotPositiveDefiniteError):
-        rankdef.spd_root_diag(bp.s, bp.b_rr)
+        rankdef.solve_partition(p, bp, "rankdef_spectral")
 
 
 @pytest.mark.parametrize("route", ["spectral", "cod"])
@@ -257,7 +258,7 @@ def test_each_route_factors_d_once(route, spy):
         assert len(ranked) == 1 and ranked[0].shape == (p.n, p.n)
     else:
         assert ranked == []
-    assert calls["spectral_decompose"].call_count == 1  # the root's own
+    assert calls["spectral_decompose"].call_count == 1  # the core's, for test and solve
 
 
 @pytest.mark.parametrize("seed", range(5))
