@@ -159,6 +159,9 @@ def _suite_from_dir(suite_dir: str, fmt: str | None):
 
 
 def _suite_from_spec(args):
+    missing = [f"--{name}" for name in ("m", "n", "rank") if getattr(args, name) is None]
+    if missing:
+        raise _UsageError(f"--problems needs {', '.join(missing)}")
     problems = []
     for i in range(args.problems):
         seed = int(generate.derive_rng(args.seed, i).integers(0, 2**63 - 1))

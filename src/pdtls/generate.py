@@ -82,7 +82,7 @@ def random_rotation(k: int, seed) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
-    q = linalg.qr_decompose(rng.standard_normal((k, k))).q
+    q = _q_factor(rng.standard_normal((k, k)))
     if np.linalg.det(q) < 0.0:
         q[:, -1] = -q[:, -1]
     return q
@@ -90,7 +90,14 @@ def random_rotation(k: int, seed) -> np.ndarray:
 
 def _orthonormal_columns(m: int, n: int, rng) -> np.ndarray:
     """m-by-n matrix with orthonormal columns, Haar-ish via QR."""
-    return linalg.qr_decompose(rng.standard_normal((m, n))).q
+    return _q_factor(rng.standard_normal((m, n)))
+
+
+def _q_factor(a: np.ndarray) -> np.ndarray:
+    """The m-by-n factor q of the economy QR a = q r of a tall a, with the
+    signs that make diag(r) nonnegative, so that q is deterministic."""
+    q, r = np.linalg.qr(a, mode="reduced")
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
 def _random_spd(n: int, rng) -> np.ndarray:

@@ -25,10 +25,11 @@ full-rank closed form.  Full-rank data is the case r = n: (II) and (III)
 are empty, the complement is 0-by-0, and the test refuses only a
 numerically singular B (a rank-deficient T).
 
-Two routes build the basis U, neither forming A: the SVD of the triangle
-R of D = Q R, whose right singular vectors are the eigenvectors of A and
-whose singular values decide the rank; or the complete orthogonal
-decomposition of D, whose r-by-r triangle is rotated by its own SVD.
+Two routes build the basis U from the triangle R of D = Q R, neither
+forming A: the SVD of R, whose right singular vectors are the
+eigenvectors of A and whose singular values decide the rank; or a QR
+with column pivoting of R, R P = Q2 R0, whose singular values decide the
+rank r and whose leading r rows give the basis P V by their own SVD.
 Each partition forms B = T^T T once and keeps it, with its factor of A,
 for the consistency threshold and the solution's diagnostics.
 """
@@ -83,9 +84,15 @@ class BlockPartition:
         S = diag(s), and g = w^T S B_rn.
 
         Taken lazily, so that check_consistency's singularity rule decides
-        first; a non-finite S B_rr S raises ValueError.
+        first.  Raises ValueError when S B_rr S overflows.
         """
-        f = linalg.spectral_decompose(self.s[:, None] * self.b_rr * self.s[None, :])
+        with np.errstate(over="ignore"):
+            core = self.s[:, None] * self.b_rr * self.s[None, :]
+        if not np.isfinite(core).all():
+            raise ValueError(
+                "the core S B_rr S overflowed: the data are too large in magnitude to solve"
+            )
+        f = linalg.spectral_decompose(core)
         return f.eigenvalues, f.u, f.u.T @ (self.s[:, None] * self.b_rn)
 
 
@@ -127,8 +134,18 @@ class CompletionChoice:
 
 
 def default_delta(b) -> float:
-    """Default consistency threshold 1e-8 * max(1, ||B||_F)."""
-    return 1e-8 * max(1.0, float(np.linalg.norm(np.asarray(b))))
+    """Default consistency threshold 1e-8 * max(1, ||B||_F).
+
+    Where the sum of squares overflows on finite B, ||B||_F is taken as
+    c ||B / c||_F with c = max |B|.
+    """
+    b = np.asarray(b)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(b))
+    if math.isinf(norm) and np.isfinite(b).all():
+        c = float(np.abs(b).max())
+        norm = c * float(np.linalg.norm(b / c))
+    return 1e-8 * max(1.0, norm)
 
 
 def _blocks(
@@ -164,20 +181,18 @@ def partition_spectral(
 
 
 def partition_cod(p: model.ProblemInstance, rank_tol: float | None = None) -> BlockPartition:
-    """Build the block partition from the complete orthogonal decomposition of D.
+    """Build the block partition from a QR with column pivoting of D.
 
-    The leading basis columns are V_r rotated by the right singular vectors
-    of the r-by-r triangle, so that the nonzero block of A becomes
-    diagonal, giving the same contract as partition_spectral.
+    D P = Q [R_r; ~0] (linalg.rank_revealing_qr), and the SVD of the r-by-n
+    R_r = W diag(s) V^T gives the basis P V, in which A = F^T F with
+    F = R_r P^T, the partition's factor, is diagonal: the same contract as
+    partition_spectral.
     """
-    cod = linalg.complete_orthogonal_decompose(p.d, rank_tol)
-    r = cod.rank
-    basis = cod.v.copy()
-    _, s, wt = np.linalg.svd(cod.r_block)
-    basis[:, :r] = basis[:, :r] @ wt.T
-    # D V = [U_r R, 0] gives A = (R V_r^T)^T (R V_r^T), R the COD's triangle.
-    factor = cod.r_block @ cod.v[:, :r].T
-    return _blocks(basis, linalg.gram(p.t), r, s, factor)
+    top, piv = linalg.rank_revealing_qr(p.d, rank_tol)
+    s, v = linalg.right_singular_vectors(top)
+    basis, factor = np.empty_like(v), np.empty_like(top)
+    basis[piv], factor[:, piv] = v, top
+    return _blocks(basis, linalg.gram(p.t), top.shape[0], s, factor)
 
 
 def check_consistency(bp: BlockPartition, delta: float) -> ConsistencyReport:

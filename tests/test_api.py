@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from pdtls import api, cli, fullrank, generate, io, linalg, model, rankdef
 from pdtls.errors import NoSolutionError, RankDeficiencyError
@@ -73,12 +73,12 @@ def test_refusal_carries_the_rank():
 @pytest.mark.parametrize("method, kind", METHOD_KINDS)
 def test_one_factor_of_d_and_one_gram_of_t(method, kind, spy, grams):
     p = grams.watch(full_problem() if kind == "full" else rankdef_problem())
-    factors = {name: spy(linalg, name) for name in ("qr_svd_decompose", "complete_orthogonal_decompose")}
+    factors = {name: spy(linalg, name) for name in ("qr_svd_decompose", "rank_revealing_qr")}
     numeric_rank = spy(linalg, "numeric_rank")
     api.solve(p, method)
     assert sum(f.call_count for f in factors.values()) == 1
     assert (grams.count("t"), grams.count("d")) == (1, 0)
-    assert not any(c.args[0] is p.d for c in numeric_rank.call_args_list)
+    assert numeric_rank.call_count == 0
 
 
 @pytest.mark.parametrize("method, kind", METHOD_KINDS)
@@ -87,7 +87,7 @@ def test_d_is_read_by_one_qr_kernel_call(method, kind, spy):
     # complete-orthogonal route pivots the n-by-n triangle, not D.
     p = full_problem() if kind == "full" else rankdef_problem()
     kernel = spy(linalg, "_qr_triangle")
-    pivoted = spy(sla, "qr")
+    pivoted = spy(lapack, "dgeqp3")
     api.solve(p, method)
     assert kernel.call_count == 1 and kernel.call_args.args[0] is p.d
     shapes = [c.args[0].shape for c in pivoted.call_args_list]
@@ -125,8 +125,8 @@ def scaled_rank_7(k):
 
 
 # Finite data whose consistency misfit the arithmetic cannot measure: the
-# core S B_rr S underflows to 0 (x1e-160) or overflows (x1e150, where
-# ||B||_F overflows too).
+# core S B_rr S underflows to 0 (x1e-160) or overflows (x1e150, where the
+# sum of squares behind ||B||_F overflows too).
 UNMEASURABLE = {
     "full_rank_x1e-160_seed0": lambda: subnormal_full_rank(0),
     "full_rank_x1e-160_seed1": lambda: subnormal_full_rank(1),
@@ -142,7 +142,7 @@ def test_no_verdict_on_arithmetic_that_never_ran(case, method):
     # An under- or overflow is a failed computation (ValueError, LinAlgError
     # among them), never a NoSolutionError verdict on the data.
     expected = ValueError if case.endswith("x1e150") else np.linalg.LinAlgError
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(expected):
+    with pytest.raises(expected):
         api.solve(p, method)
 
 
@@ -188,9 +188,7 @@ NUMPY_FACTORIZATIONS = ("eigh", "eigvalsh", "svd", "solve", "cholesky", "qr")
 
 def test_solve_path_makes_no_numpy_linalg_factorization(monkeypatch, tmp_path):
     # Every n-by-n factorization of a solve calls LAPACK through linalg's
-    # wrappers.  rankdef_cod is left out: its complete orthogonal
-    # decomposition still calls numpy and scipy, and ROADMAP item 3 deletes
-    # that route.
+    # wrappers.
     full = full_problem()
     deficient = rankdef_problem()
     noise = np.random.default_rng(5).standard_normal(deficient.t.shape)
@@ -210,7 +208,7 @@ def test_solve_path_makes_no_numpy_linalg_factorization(monkeypatch, tmp_path):
         monkeypatch.setattr(np.linalg, name, forbidden(name))
     outcomes = set()
     for p in problems:
-        for method in ("auto", "qr", "spectral", "rankdef_spectral"):
+        for method in ("auto", "qr", "spectral", "rankdef_spectral", "rankdef_cod"):
             try:
                 api.solve(p, method)
                 outcomes.add("ok")

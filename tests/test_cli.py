@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,9 +191,9 @@ def test_solve_rankdef_partitions_once(tmp_path, spy):
     [
         ((1.0, 1.0, 1.0), 3, "auto", "qr", "qr_svd_decompose"),
         ((1.0, 1.0, 0.0), 3, "auto", "rankdef-spectral", "qr_svd_decompose"),
-        # Five rows, so that D differs from the COD's 3x3 triangle, whose
+        # Five rows, so that D differs from the 3x3 pivoted triangle, whose
         # SVD decides the rank.
-        ((1.0, 1.0, 0.0), 5, "rankdef-cod", "rankdef-cod", "complete_orthogonal_decompose"),
+        ((1.0, 1.0, 0.0), 5, "rankdef-cod", "rankdef-cod", "rank_revealing_qr"),
     ],
     ids=["identity", "rank_2", "rank_2_cod"],
 )
@@ -203,7 +204,7 @@ def test_solve_factors_d_once(tmp_path, spy, d_diag, rows, method, reported, fac
     d[:3] = np.diag(d_diag)
     io.write_matrix(tmp_path / "D.mtx", d)
     io.write_matrix(tmp_path / "T.mtx", d @ np.diag([2.0, 3.0, 4.0]))
-    factors = {name: spy(linalg, name) for name in ("qr_svd_decompose", "complete_orthogonal_decompose")}
+    factors = {name: spy(linalg, name) for name in ("qr_svd_decompose", "rank_revealing_qr")}
     svd = spy(np.linalg, "svd")
     assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx",
                 "--method", method, "--report", tmp_path / "report.json"]) == 0
@@ -307,9 +308,36 @@ def test_unmeasurable_misfit_exit_3(tmp_path, kind, scale):
     io.write_matrix(tmp_path / "D.mtx", scale * p.d)
     io.write_matrix(tmp_path / "T.mtx", scale * p.t)
     for command in ("solve", "check"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run([command, "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx"])
-        assert code == 3
+        assert run([command, "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx"]) == 3
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("kind", ["full_rank", "rank_7"])
+def test_overflow_on_finite_data_is_named_and_reported_as_json(tmp_path, capsys, kind):
+    # x1e150: B = T^T T is finite, but the sum of squares behind ||B||_F and
+    # the core S B_rr S overflow.  No warning escapes as a traceback (exit 1),
+    # the error names the overflow, and a report holds finite numbers only.
+    if kind == "full_rank":
+        p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=200, n=12, r=12, seed=0))
+    else:
+        p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=200, n=12, r=7, seed=0))
+    io.write_matrix(tmp_path / "D.mtx", 1e150 * p.d)
+    io.write_matrix(tmp_path / "T.mtx", 1e150 * p.t)
+    files = ["--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["solve", *files]) == 3
+        assert "S B_rr S overflowed" in capsys.readouterr().err
+        code = run(["check", *files, "--report", tmp_path / "check.json"])
+    if kind == "full_rank":  # r = n: the empty complement needs no core
+        assert code == 0
+        report = json.loads((tmp_path / "check.json").read_text(), parse_constant=refuse_constant)
+        assert 0.0 < report["delta"] < float("inf")
+    else:
+        assert code == 3 and "S B_rr S overflowed" in capsys.readouterr().err
 
 
 def test_unreadable_compressed_input_exit_3(tmp_path):
@@ -402,10 +430,8 @@ def test_bench_suite_dir_records_an_overflowing_solve(tmp_path, capsys):
     for name, scale in (("plain", 1.0), ("scaled", 1e150)):
         io.write_matrix(suite / f"{name}_D.mtx", p.d * scale)
         io.write_matrix(suite / f"{name}_T.mtx", p.t * scale)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["bench", "--suite-dir", suite, "--solvers", "qr", "--repetitions", 1,
-                    "--records", tmp_path / "records.csv"])
-    assert code == 0
+    assert run(["bench", "--suite-dir", suite, "--solvers", "qr", "--repetitions", 1,
+                "--records", tmp_path / "records.csv"]) == 0
     assert json.loads(capsys.readouterr().out)["failures"] == 1
 
 
@@ -441,6 +467,15 @@ def test_profile_reproduces_hand_suite(tmp_path):
     assert table[1.0] == (2 / 3, 2 / 3)
     assert table[2.0] == (2 / 3, 1.0)
     assert table[4.0] == (1.0, 1.0)
+
+
+def test_bench_problems_without_generator_flags_exit_3(tmp_path, capsys):
+    assert run(["bench", "--problems", 2, "--records", tmp_path / "r.csv"]) == 3
+    assert "--problems needs --m, --n, --rank" in capsys.readouterr().err
+    assert run(["bench", "--problems", 2, "--m", 6, "--n", 2,
+                "--records", tmp_path / "r.csv"]) == 3
+    assert "--problems needs --rank" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_unknown_solver_exit_3(tmp_path):

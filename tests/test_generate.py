@@ -135,3 +135,57 @@ def test_derive_rng_deterministic_and_distinct():
     c = generate.derive_rng(5, 1).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def qr_reference(a):
+    """Economy QR a = q r with both factors' signs set so that diag(r) >= 0:
+    the factorization the generators' q factor must reproduce bit for bit."""
+    q, r = np.linalg.qr(a, mode="reduced")
+    sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return q * sign, r * sign[:, None]
+
+
+def test_qr_identity():
+    assert_allclose(generate._q_factor(np.eye(3)), np.eye(3))
+
+
+def test_qr_column_norm_sign_convention():
+    # r = q^T a = 5 > 0 fixes the sign of q.
+    assert_allclose(generate._q_factor(np.array([[3.0], [4.0]])), [[0.6], [0.8]], atol=1e-15)
+
+
+def test_qr_reconstruction_random():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((6, 3))
+    q = generate._q_factor(a)
+    r = q.T @ a
+    assert np.linalg.norm(q @ r - a) <= 1e-12 * np.linalg.norm(a)
+    assert np.all(np.diag(r) >= 0)
+
+
+def test_qr_economy_factors():
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((5, 3))
+    q = generate._q_factor(a)
+    assert q.shape == (5, 3)
+    assert_allclose(q.T @ q, np.eye(3), atol=1e-14)
+    r = q.T @ a
+    assert_allclose(np.tril(r, -1), np.zeros((3, 3)), atol=1e-14)
+    assert np.all(np.diag(r) >= 0)
+    assert_allclose(q @ r, a, atol=1e-14)
+
+
+@pytest.mark.parametrize("r", [3, 6])
+def test_instances_are_byte_identical_with_the_reference_qr(monkeypatch, r):
+    spec = generate.GeneratorSpec(m=30, n=6, r=r, seed=11, noise_level=1e-3)
+    make = generate.gen_full_rank if r == spec.n else generate.gen_consistent_rankdef
+
+    def arrays(out):
+        p, *x0 = out if isinstance(out, tuple) else (out,)
+        return [p.d, p.t, *x0]
+
+    got = arrays(make(spec))
+    assert np.array_equal(generate._q_factor(got[0]), qr_reference(got[0])[0])
+    monkeypatch.setattr(generate, "_q_factor", lambda a: qr_reference(a)[0])
+    ref = arrays(make(spec))
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]

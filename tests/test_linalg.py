@@ -12,43 +12,6 @@ from pdtls.errors import (
 )
 
 
-def test_qr_identity():
-    f = linalg.qr_decompose(np.eye(3))
-    assert_allclose(f.q, np.eye(3))
-    assert_allclose(f.r, np.eye(3))
-
-
-def test_qr_column_norm_sign_convention():
-    f = linalg.qr_decompose(np.array([[3.0], [4.0]]))
-    assert f.r[0, 0] == pytest.approx(5.0, abs=1e-12)
-    assert_allclose(f.q @ f.r, [[3.0], [4.0]], atol=1e-12)
-
-
-def test_qr_reconstruction_random():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((6, 3))
-    f = linalg.qr_decompose(a)
-    assert np.linalg.norm(f.q @ f.r - a) <= 1e-12 * np.linalg.norm(a)
-    assert np.all(np.diag(f.r)[:3] >= 0)
-
-
-def test_qr_rejects_wide():
-    with pytest.raises(DimensionError):
-        linalg.qr_decompose(np.ones((2, 3)))
-
-
-def test_qr_economy_factors():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((5, 3))
-    f = linalg.qr_decompose(a)
-    assert f.q.shape == (5, 3)
-    assert f.r.shape == (3, 3)
-    assert_allclose(f.q.T @ f.q, np.eye(3), atol=1e-14)
-    assert_allclose(f.r, np.triu(f.r), atol=0.0)
-    assert np.all(np.diag(f.r) >= 0)
-    assert_allclose(f.q @ f.r, a, atol=1e-14)
-
-
 def test_spectral_diagonal():
     f = linalg.spectral_decompose(np.diag([2.0, 3.0]))
     assert_allclose(f.eigenvalues, [3.0, 2.0])
@@ -87,49 +50,45 @@ def test_cholesky_rejects_indefinite():
         linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
 
 
-def assert_cod_factors(a, f):
-    """a @ v = [U_r r_block, 0] with U_r orthonormal, so the trailing columns
-    vanish and the Gram matrix of the leading ones is r_block^T r_block."""
-    nrm = np.linalg.norm(a)
-    n = a.shape[1]
-    av = a @ f.v
-    assert np.linalg.norm(f.v.T @ f.v - np.eye(n)) <= 1e-11 * n
-    assert np.linalg.norm(av[:, f.rank:]) <= 1e-11 * nrm
-    av_r = av[:, : f.rank]
-    assert np.linalg.norm(av_r.T @ av_r - f.r_block.T @ f.r_block) <= 1e-11 * nrm**2
-    assert_allclose(f.r_block, np.triu(f.r_block), atol=0.0)
-    assert np.all(np.diag(f.r_block) >= 0)
+def assert_cod_factors(a, top, piv):
+    """a[:, piv] = Q [top; ~0] with Q orthonormal: piv permutes a's columns,
+    top is upper trapezoidal, and the Gram matrix of the permuted columns
+    is top^T top."""
+    ap = a[:, piv]
+    assert sorted(piv) == list(range(a.shape[1]))
+    assert_allclose(top, np.triu(top), atol=0.0)
+    assert np.linalg.norm(ap.T @ ap - top.T @ top) <= 1e-11 * np.linalg.norm(a) ** 2
 
 
 def test_cod_diagonal_rank1():
-    f = linalg.complete_orthogonal_decompose(np.diag([1.0, 0.0]))
-    assert f.rank == 1
-    assert_allclose(np.abs(f.r_block), [[1.0]], atol=1e-14)
+    top, piv = linalg.rank_revealing_qr(np.diag([1.0, 0.0]))
+    assert list(piv) == [0, 1]
+    assert_allclose(np.abs(top), [[1.0, 0.0]], atol=1e-14)
 
 
 def test_cod_full_rank():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 3))
-    f = linalg.complete_orthogonal_decompose(a)
-    assert f.rank == 3
-    assert_cod_factors(a, f)
+    top, piv = linalg.rank_revealing_qr(a)
+    assert top.shape == (3, 3)
+    assert_cod_factors(a, top, piv)
     # rank oracle via singular values
-    assert f.rank == np.sum(np.linalg.svd(a, compute_uv=False) > 1e-10)
+    assert top.shape[0] == np.sum(np.linalg.svd(a, compute_uv=False) > 1e-10)
 
 
 def test_cod_zero_matrix():
-    f = linalg.complete_orthogonal_decompose(np.zeros((3, 2)))
-    assert f.rank == 0
-    assert f.r_block.shape == (0, 0)
+    top, piv = linalg.rank_revealing_qr(np.zeros((3, 2)))
+    assert top.shape == (0, 2) and sorted(piv) == [0, 1]
 
 
 def test_cod_triangular_block():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((7, 3)) @ rng.standard_normal((3, 5))
-    f = linalg.complete_orthogonal_decompose(a)
-    assert f.rank == 3
-    assert_allclose(f.r_block, np.triu(f.r_block), atol=1e-12)
-    assert np.all(np.abs(np.diag(f.r_block)) > 0)
+    top, piv = linalg.rank_revealing_qr(a)
+    assert top.shape == (3, 5)
+    assert_allclose(top, np.triu(top), atol=0.0)
+    assert np.all(np.abs(np.diag(top)) > 0)
+    assert_cod_factors(a, top, piv)
 
 
 def test_numeric_rank_examples():
@@ -158,7 +117,7 @@ def test_cod_rank_uses_tolerance_of_input_shape():
     right, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     a = (left * np.array([1.0, 0.5, 0.2, 0.1, 1e-8])) @ right.T
     assert linalg.numeric_rank(a) == 4
-    assert linalg.complete_orthogonal_decompose(a).rank == linalg.numeric_rank(a)
+    assert linalg.rank_revealing_qr(a)[0].shape[0] == linalg.numeric_rank(a)
     assert linalg.qr_svd_decompose(a).rank == 4
 
 
@@ -174,9 +133,9 @@ def test_cod_of_tall_rank_deficient_data(seed):
         (rng.standard_normal((300, 5)) * np.geomspace(1, 1e-6, 5)) @ rng.standard_normal((5, 9)),
     ]
     for a in cases:
-        f = linalg.complete_orthogonal_decompose(a)
-        assert f.rank == linalg.numeric_rank(a) < a.shape[1]
-        assert_cod_factors(a, f)
+        top, piv = linalg.rank_revealing_qr(a)
+        assert top.shape[0] == linalg.numeric_rank(a) < a.shape[1]
+        assert_cod_factors(a, top, piv)
 
 
 def test_solve_triangular_identity():
@@ -246,17 +205,18 @@ def test_triangular_inverse_rejects_bad_input():
 
 
 # 2000x100 and 2000x129 lie on either side of min(m, n) = 128, where
-# LAPACK's dgeqrf (behind qr_decompose) switches from unblocked to blocked.
+# LAPACK's dgeqrf (behind numpy.linalg.qr) switches from unblocked to blocked.
 @pytest.mark.parametrize("m,n", [(10, 4), (300, 200), (2000, 100), (2000, 129)])
 def test_qr_svd_factors(m, n):
     rng = np.random.default_rng(m + n)
     a = rng.standard_normal((m, n))
     f = linalg.qr_svd_decompose(a)
-    # The triangle of qr_decompose up to row signs, to rounding: the two
-    # Householder QRs apply the same reflectors in different blockings.
-    signed = f.r * np.copysign(1.0, f.r.diagonal())[:, None]
+    # numpy's triangle up to row signs, to rounding: the two Householder QRs
+    # apply the same reflectors in different blockings.
+    ref = np.linalg.qr(a, mode="r")
+    sign = np.copysign(1.0, f.r.diagonal()) * np.copysign(1.0, ref.diagonal())
     assert np.array_equal(f.r, np.triu(f.r))
-    assert np.linalg.norm(signed - linalg.qr_decompose(a).r) <= 1e-14 * np.linalg.norm(a)
+    assert np.linalg.norm(f.r * sign[:, None] - ref) <= 1e-14 * np.linalg.norm(a)
     assert np.all(np.diff(f.s) <= 0) and f.rank == n
     assert np.linalg.norm(f.v.T @ f.v - np.eye(n)) <= 1e-11 * n
     gram = a.T @ a
@@ -277,14 +237,6 @@ def test_qr_svd_edge_shapes():
 @pytest.mark.parametrize("m,n", [(10, 4), (50, 20), (200, 100)])
 def test_roundtrip_property(m, n):
     rng = np.random.default_rng(m * 1000 + n)
-    a = rng.standard_normal((m, n))
-    f = linalg.qr_decompose(a)
-    assert f.q.shape == (m, n) and f.r.shape == (n, n)
-    assert np.linalg.norm(f.q @ f.r - a) <= 1e-12 * np.linalg.norm(a)
-    assert np.linalg.norm(f.q.T @ f.q - np.eye(n)) <= 1e-11 * n
-    assert_allclose(f.r, np.triu(f.r), atol=0.0)
-    assert np.all(np.diag(f.r) >= 0)
-
     sym = linalg.symmetrize(rng.standard_normal((n, n)))
     sf = linalg.spectral_decompose(sym)
     rec = (sf.u * sf.eigenvalues) @ sf.u.T
@@ -300,9 +252,9 @@ def test_roundtrip_property(m, n):
 
     r = max(1, n // 2)
     low = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-    codf = linalg.complete_orthogonal_decompose(low)
-    assert codf.rank == r
-    assert_cod_factors(low, codf)
+    top, piv = linalg.rank_revealing_qr(low)
+    assert top.shape[0] == r
+    assert_cod_factors(low, top, piv)
 
 
 def test_numeric_rank_rotation_invariance():
@@ -344,6 +296,12 @@ def test_lapack_wrappers_match_numpy(n):
     for a in (rect, rect.T, spd):
         sv = linalg.singular_values(a)
         assert np.all(np.diff(sv) <= 0) and close(sv, np.linalg.svd(a, compute_uv=False))
+    for a in (rect.T, spd):  # k-by-j with k <= j
+        s, v = linalg.right_singular_vectors(a)
+        j = a.shape[1]
+        assert close(s, np.linalg.svd(a, compute_uv=False))
+        assert np.linalg.norm(v.T @ v - np.eye(j)) <= 1e-13 * j
+        assert close(np.linalg.norm(a @ v, axis=0), np.r_[s, np.zeros(j - s.size)])
     l = linalg.cholesky(spd)
     assert close(l, np.linalg.cholesky(spd))
     assert np.array_equal(np.triu(l, 1), np.zeros((n, n)))
@@ -366,6 +324,8 @@ def test_lapack_wrappers_refuse_bad_input():
     with pytest.raises(ValueError):
         linalg.symmetric_eigenvalues(np.diag([1.0, np.inf]))
     assert linalg.singular_values(np.zeros((3, 0))).shape == (0,)
+    s, v = linalg.right_singular_vectors(np.zeros((0, 3)))
+    assert s.shape == (0,) and np.array_equal(v, np.eye(3))
 
 
 @pytest.mark.parametrize("m,n", [(40, 8), (2000, 100)])

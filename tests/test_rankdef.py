@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 import weakref
 
 import numpy as np
@@ -224,7 +225,7 @@ def test_solve_rankdef_is_one_pass(route, spy):
     p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=12, n=5, r=3, seed=31))
     solve_qr = spy(fullrank, "solve_qr")
     make_solution = spy(model, "make_solution")
-    name = "qr_svd_decompose" if route == "spectral" else "complete_orthogonal_decompose"
+    name = "qr_svd_decompose" if route == "spectral" else "rank_revealing_qr"
     factor = spy(linalg, name)
     rankdef.solve_rankdef(p, route=route)
     assert (solve_qr.call_count, make_solution.call_count, factor.call_count) == (0, 1, 1)
@@ -245,19 +246,19 @@ def test_each_route_factors_d_once(route, spy):
     else:
         p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=12, n=5, r=5, seed=31))
     calls = {name: spy(linalg, name) for name in (
-        "qr_decompose", "qr_svd_decompose", "complete_orthogonal_decompose",
-        "numeric_rank", "spectral_decompose",
+        "qr_svd_decompose", "rank_revealing_qr",
+        "numeric_rank", "singular_values", "spectral_decompose",
     )}
-    ROUTES[route](p)
-    factors = [c.args[0] for name in ("qr_svd_decompose", "complete_orthogonal_decompose")
+    sol = ROUTES[route](p)
+    factors = [c.args[0] for name in ("qr_svd_decompose", "rank_revealing_qr")
                for c in calls[name].call_args_list]
     assert len(factors) == 1 and factors[0] is p.d
-    assert calls["qr_decompose"].call_count == 0
-    ranked = [c.args[0] for c in calls["numeric_rank"].call_args_list]
-    if route == "rankdef_cod":
-        assert len(ranked) == 1 and ranked[0].shape == (p.n, p.n)
-    else:
-        assert ranked == []
+    assert calls["numeric_rank"].call_count == 0
+    # The consistency test's values of B_rr, and on the pivoted route the
+    # values of the n-by-n pivoted triangle that decide the rank.
+    valued = [c.args[0].shape for c in calls["singular_values"].call_args_list]
+    pivoted = [(p.n, p.n)] if route == "rankdef_cod" else []
+    assert valued == pivoted + [(sol.rank, sol.rank)]
     assert calls["spectral_decompose"].call_count == 1  # the core's, for test and solve
 
 
@@ -271,6 +272,15 @@ def test_routes_agree_at_wide_spectrum(seed):
     x_spectral = rankdef.solve_rankdef(p, route="spectral").x
     x_cod = rankdef.solve_rankdef(p, route="cod").x
     assert np.linalg.norm(x_spectral - x_cod) <= 1e-9 * np.linalg.norm(x_cod)
+
+
+def test_default_delta_survives_an_overflowing_sum_of_squares():
+    b = np.diag([3.0, 4.0])
+    assert rankdef.default_delta(b) == 1e-8 * 5.0
+    # The squares (~1e601) overflow; ||B||_F = 5e300 does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rankdef.default_delta(1e300 * b) == pytest.approx(5e292, rel=1e-15)
 
 
 def test_solve_rankdef_attaches_consistency_report():
