@@ -12,7 +12,6 @@ from .bench import (
     run_suite,
 )
 from .errors import (
-    AsymmetricMatrixError,
     DimensionError,
     NoSolutionError,
     NotPositiveDefiniteError,
@@ -48,7 +47,6 @@ from .rankdef import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymmetricMatrixError",
     "BlockPartition",
     "CompletionChoice",
     "ConsistencyReport",

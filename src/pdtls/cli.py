@@ -126,8 +126,7 @@ def cmd_generate(args) -> int:
 def cmd_check(args) -> int:
     p = _load_instance(args)
     bp = rankdef.partition_spectral(p, args.rank_tol)
-    delta = args.delta if args.delta is not None else rankdef.default_delta(bp.b)
-    check = rankdef.check_consistency(bp, delta)
+    check = rankdef.check_consistency(bp, args.delta)
     _emit_report(
         {
             "rank_r": bp.r,

@@ -13,10 +13,6 @@ class NotPositiveDefiniteError(PdtlsError):
     """A matrix required to be symmetric positive definite is not."""
 
 
-class AsymmetricMatrixError(PdtlsError):
-    """A matrix required to be symmetric is asymmetric beyond tolerance."""
-
-
 class SingularTriangularError(PdtlsError):
     """A triangular factor has a zero diagonal entry."""
 

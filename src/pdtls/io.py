@@ -57,6 +57,9 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
         if hasattr(a, "toarray"):  # coordinate-format file
             a = a.toarray()
     else:
+        # numpy warns on a file without data, then returns no rows.
+        if os.path.getsize(path) == 0:
+            raise DimensionError(f"{path}: the file is empty")
         a = np.loadtxt(path, delimiter=",", ndmin=2)
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:

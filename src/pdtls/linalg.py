@@ -5,12 +5,16 @@ numpy/scipy directly, so conventions (sign of R's diagonal, eigenvalue
 ordering, rank tolerances) are fixed in one place.  Every function is pure
 and safe to call concurrently.
 
-The n-by-n factorizations of a solve call LAPACK directly through
-scipy.linalg.lapack: the same drivers numpy.linalg calls (dsyevd, dgesdd,
-dpotrf), and dgeqp3 for a QR with column pivoting, without numpy's
-per-call dispatch, which costs more than the work itself at the sizes of
-small fits.  A nonzero LAPACK ``info`` raises numpy.linalg.LinAlgError,
-unless the wrapper names a typed error for it.
+The factorizations of a solve call LAPACK directly through
+scipy.linalg.lapack: dgeqrt for the triangle of a tall matrix, the drivers
+numpy.linalg calls (dsyevd, dgesdd, dpotrf), dgeqp3 for a QR with column
+pivoting and dtrtri for a triangular inverse, without numpy's per-call
+dispatch, which costs more than the work itself at the sizes of small
+fits.  A wrapper does not re-check what its callers establish: the
+symmetric eigensolvers read only the lower triangle and test no symmetry,
+and symmetric_eigenpairs takes the core its caller built and tested
+finite as it is.  A nonzero LAPACK ``info`` raises
+numpy.linalg.LinAlgError, unless the wrapper names a typed error for it.
 """
 
 import math
@@ -19,33 +23,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import (
-    AsymmetricMatrixError,
-    DimensionError,
-    NotPositiveDefiniteError,
-    SingularTriangularError,
-)
+from .errors import DimensionError, NotPositiveDefiniteError, SingularTriangularError
 
 __all__ = [
     "QrSvdFactors",
-    "SpectralFactors",
     "as_matrix",
     "default_rank_tol",
     "gram",
     "qr_svd_decompose",
     "rank_revealing_qr",
     "right_singular_vectors",
-    "spectral_decompose",
+    "symmetric_eigenpairs",
     "symmetric_eigenvalues",
     "singular_values",
     "cholesky",
     "numeric_rank",
-    "solve_triangular",
     "symmetrize",
     "triangular_inverse",
 ]
 
-SYMMETRY_RTOL = 1e-10
 _EPS = np.finfo(np.float64).eps
 
 
@@ -93,14 +89,6 @@ class QrSvdFactors:
     s: np.ndarray
     v: np.ndarray
     rank: int
-
-
-@dataclass(frozen=True)
-class SpectralFactors:
-    """Eigendecomposition a = u @ diag(eigenvalues) @ u.T, eigenvalues descending."""
-
-    u: np.ndarray
-    eigenvalues: np.ndarray
 
 
 def qr_svd_decompose(a, rank_tol: float | None = None) -> QrSvdFactors:
@@ -156,23 +144,19 @@ def _qr_triangle(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def spectral_decompose(a) -> SpectralFactors:
-    """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending.
+def symmetric_eigenpairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, u): a = u diag(w) u^T for a symmetric a, w descending, by
+    LAPACK's dsyevd with eigenvectors.
 
-    The input is symmetrized as (a + a^T)/2 before decomposing; asymmetry
-    beyond ``SYMMETRY_RTOL * ||a||_F`` is an error rather than a silent fix.
+    Only the lower triangle of a is read, and a is not checked: the caller
+    passes a finite, square float64 matrix.  w and u are contiguous copies
+    of dsyevd's ascending pairs in reverse: the products a solve takes of
+    reversed views round differently, and moved X by up to 2.8e-16
+    relative on the benchmark's pools.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"spectral_decompose requires a square matrix, got {a.shape}")
-    nrm = np.linalg.norm(a)
-    if nrm > 0.0 and np.linalg.norm(a - a.T) > SYMMETRY_RTOL * nrm:
-        raise AsymmetricMatrixError(
-            "matrix is asymmetric beyond tolerance; symmetrize it explicitly first"
-        )
-    w, u, info = lapack.dsyevd(symmetrize(a), compute_v=1, lower=1)
+    w, u, info = lapack.dsyevd(a, compute_v=1, lower=1)
     _check_lapack("dsyevd", info)
-    return SpectralFactors(u=u[:, ::-1].copy(), eigenvalues=w[::-1].copy())
+    return w[::-1].copy(), u[:, ::-1].copy()
 
 
 def symmetric_eigenvalues(a) -> np.ndarray:
@@ -180,7 +164,7 @@ def symmetric_eigenvalues(a) -> np.ndarray:
     without eigenvectors.
 
     Only the lower triangle of a is read, as numpy.linalg.eigvalsh reads
-    it; unlike :func:`spectral_decompose`, a is not tested for symmetry.
+    it; a is not tested for symmetry.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -281,35 +265,6 @@ def rank_revealing_qr(a, rank_tol: float | None = None) -> tuple[np.ndarray, np.
     return rp[: _rank_of(singular_values(rp), tol)], jpvt - 1
 
 
-def solve_triangular(factor, rhs, lower: bool = True, trans: bool = False) -> np.ndarray:
-    """Solve factor @ x = rhs (or factor.T @ x = rhs with ``trans``).
-
-    Calls LAPACK's dtrtrs directly: scipy.linalg.solve_triangular's checks
-    cost several times the solve at the sizes a solve uses.
-
-    Raises
-    ------
-    SingularTriangularError
-        On a numerically zero pivot: min |diag| <= k * eps * max |diag| for
-        a factor of order k.
-    DimensionError
-        If factor is not square or rhs has another number of rows.
-    ValueError
-        If rhs holds NaN or Inf entries.
-    """
-    factor = as_matrix(factor)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    k = factor.shape[0]
-    if factor.shape != (k, k) or rhs.shape[:1] != (k,):
-        raise DimensionError(f"cannot solve a {factor.shape} factor against {rhs.shape}")
-    if not np.isfinite(rhs).all():
-        raise ValueError("right-hand side contains NaN or Inf entries")
-    _check_pivots(factor)
-    x, info = lapack.dtrtrs(factor, rhs, lower=int(lower), trans=int(trans))
-    _check_info("dtrtrs", info)
-    return x
-
-
 def triangular_inverse(factor, lower: bool = True) -> np.ndarray:
     """The inverse of a square triangular factor, by LAPACK's dtrtri.
 
@@ -320,7 +275,9 @@ def triangular_inverse(factor, lower: bool = True) -> np.ndarray:
     Raises
     ------
     SingularTriangularError
-        On a numerically zero pivot, by the rule of :func:`solve_triangular`.
+        On a numerically zero pivot: min |diag| <= k * eps * max |diag| for
+        a factor of order k, which would amplify rounding by more than
+        1 / (k * eps).
     DimensionError
         If factor is not square.
     """
@@ -328,19 +285,13 @@ def triangular_inverse(factor, lower: bool = True) -> np.ndarray:
     k = factor.shape[0]
     if factor.shape != (k, k):
         raise DimensionError(f"cannot invert a non-square {factor.shape} factor")
-    _check_pivots(factor)
-    inv, info = lapack.dtrtri(factor, lower=int(lower))
-    _check_info("dtrtri", info)
-    return inv
-
-
-def _check_pivots(factor: np.ndarray) -> None:
-    """Refuse a triangular factor of order k whose smallest pivot is at or
-    below k * eps times its largest: solving with it, or inverting it,
-    would amplify rounding by more than 1 / (k * eps)."""
     piv = np.abs(factor.diagonal())
-    if piv.size and piv.min() <= piv.size * _EPS * piv.max():
+    if k and piv.min() <= k * _EPS * piv.max():
         raise SingularTriangularError("triangular factor has a numerically zero pivot")
+    inv, info = lapack.dtrtri(factor, lower=int(lower))
+    # The pivot rule has refused every zero pivot, dtrtri's only info > 0.
+    _check_lapack("dtrtri", info)
+    return inv
 
 
 def _check_lapack(routine: str, info: int) -> None:
@@ -348,10 +299,3 @@ def _check_lapack(routine: str, info: int) -> None:
     if info:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed, info={info}")
 
-
-def _check_info(routine: str, info: int) -> None:
-    """Raise on the info code of LAPACK's triangular dtrtrs or dtrtri."""
-    if info > 0:
-        raise SingularTriangularError(f"triangular factor has a zero pivot at row {info}")
-    if info < 0:
-        raise ValueError(f"LAPACK {routine} rejected argument {-info}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import blas
+from scipy.linalg import blas, cho_solve
 
 from . import linalg
 from .errors import DimensionError, NotPositiveDefiniteError
@@ -93,14 +93,13 @@ def _chol_lower(x) -> np.ndarray:
 def error_trace(p: ProblemInstance, x) -> float:
     """E(X) = tr((D X - T)^T (D - T X^{-1})) for SPD X.
 
-    X^{-1} is never formed; T X^{-1} is applied through triangular solves
-    with the Cholesky factor of X.
+    X^{-1} is never formed; T X^{-1} comes from scipy's cho_solve with the
+    Cholesky factor of X, so this oracle shares no kernel with the dtrtri
+    and dtrmm of make_solution's E(X).
     """
     l = _chol_lower(x)
     x = linalg.symmetrize(linalg.as_matrix(x))
-    # t @ x^{-1} = (l^{-T} l^{-1} t^T)^T
-    w = linalg.solve_triangular(l, p.t.T, lower=True)
-    txinv = linalg.solve_triangular(l, w, lower=True, trans=True).T
+    txinv = cho_solve((l, True), p.t.T).T
     return float(np.sum((p.d @ x - p.t) * (p.d - txinv)))
 
 

@@ -92,8 +92,8 @@ class BlockPartition:
             raise ValueError(
                 "the core S B_rr S overflowed: the data are too large in magnitude to solve"
             )
-        f = linalg.spectral_decompose(core)
-        return f.eigenvalues, f.u, f.u.T @ (self.s[:, None] * self.b_rn)
+        lam, w = linalg.symmetric_eigenpairs(linalg.symmetrize(core))
+        return lam, w, w.T @ (self.s[:, None] * self.b_rn)
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,14 @@ def default_delta(b) -> float:
 
 
 def _blocks(
-    basis_u: np.ndarray, b: np.ndarray, r: int, s: np.ndarray, factor: np.ndarray
+    basis_u: np.ndarray, t: np.ndarray, r: int, s: np.ndarray, factor: np.ndarray
 ) -> BlockPartition:
-    bt = basis_u.T @ b @ basis_u
+    # On finite data of large magnitude B, or its rotation, overflows to Inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = linalg.gram(t)
+        bt = basis_u.T @ b @ basis_u
+    if not np.isfinite(bt).all():
+        raise ValueError("B = T^T T overflowed: the data are too large in magnitude to solve")
     return BlockPartition(
         r=r,
         b_rr=linalg.symmetrize(bt[:r, :r]),
@@ -177,7 +182,7 @@ def partition_spectral(
     already computed by the caller.  D's triangle is the factor of A.
     """
     f = linalg.qr_svd_decompose(p.d, rank_tol) if factor is None else factor
-    return _blocks(f.v, linalg.gram(p.t), f.rank, f.s[: f.rank], f.r)
+    return _blocks(f.v, p.t, f.rank, f.s[: f.rank], f.r)
 
 
 def partition_cod(p: model.ProblemInstance, rank_tol: float | None = None) -> BlockPartition:
@@ -192,26 +197,29 @@ def partition_cod(p: model.ProblemInstance, rank_tol: float | None = None) -> Bl
     s, v = linalg.right_singular_vectors(top)
     basis, factor = np.empty_like(v), np.empty_like(top)
     basis[piv], factor[:, piv] = v, top
-    return _blocks(basis, linalg.gram(p.t), top.shape[0], s, factor)
+    return _blocks(basis, p.t, top.shape[0], s, factor)
 
 
-def check_consistency(bp: BlockPartition, delta: float) -> ConsistencyReport:
+def check_consistency(bp: BlockPartition, delta: float | None = None) -> ConsistencyReport:
     """Threshold test for existence of an SPD solution, read from the partition.
 
     (III) is solvable iff the Schur complement of B_rr in Bt vanishes, so
     this measures f_norm = ||B_nn - B_rn^T B_rr^{-1} B_rn||_F, read from the
     partition's core eigenpairs as ||B_nn - g^T diag(lam)^{-1} g||_F, and
-    flags the instance consistent iff f_norm < delta.  At r = 0 the
-    complement is B_nn itself, f_norm = ||B||_F and b_rr_condition is 1.0;
-    at r = n it is empty, f_norm = 0 and b_rr_condition is cond(B).  A
-    numerically singular leading block B_rr, at any rank r >= 1, means the
-    data cannot support an SPD solution: reported inconsistent with f_norm
-    and b_rr_condition both inf, before the core is decomposed.  Raises
+    flags the instance consistent iff f_norm < delta, which defaults to
+    default_delta(bp.b).  At r = 0 the complement is B_nn itself,
+    f_norm = ||B||_F and b_rr_condition is 1.0; at r = n it is empty,
+    f_norm = 0 and b_rr_condition is cond(B).  A numerically singular
+    leading block B_rr, at any rank r >= 1, means the data cannot support
+    an SPD solution: reported inconsistent with f_norm and b_rr_condition
+    both inf, before the core is decomposed.  Raises
     ValueError unless delta > 0 (a NaN delta is rejected too), and
     numpy.linalg.LinAlgError when LAPACK cannot take the singular values of
     B_rr (a NaN in it) or the measured f_norm is NaN or Inf (the arithmetic
     under- or overflowed): a failed computation, not a verdict.
     """
+    if delta is None:
+        delta = default_delta(bp.b)
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     r = bp.r
@@ -300,15 +308,13 @@ def solve_partition(
     solve_rankdef; at r = n the trailing block is empty and the solution
     is the unique minimizer.
     """
-    if delta is None:
-        delta = default_delta(bp.b)
     report = check_consistency(bp, delta)
     if not report.consistent:
         # A caller that keeps the refusal keeps this frame; drop the
         # partition so that kept refusals do not hold it.
         del bp
         raise NoSolutionError(
-            f"inconsistent instance: f_norm={report.f_norm:.3e} >= delta={delta:.3e}",
+            f"inconsistent instance: f_norm={report.f_norm:.3e} >= delta={report.delta:.3e}",
             report=report,
         )
     n = p.n

@@ -293,6 +293,13 @@ def test_invalid_inputs_exit_3(tmp_path):
     assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "D.mtx",
                 "--out", tmp_path / "nodir" / "X.mtx", "--report", tmp_path / "report.json"]) == 3
     assert sorted(tmp_path.rglob("*")) == files
+    # An empty file is named, before numpy's warning on it escapes (exit 1).
+    (tmp_path / "empty.csv").touch()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("solve", "check"):
+            assert run([command, "--data", tmp_path / "empty.csv",
+                        "--target", tmp_path / "empty.csv"]) == 3
 
 
 @pytest.mark.parametrize("kind, scale", [("full_rank", 1e-160), ("rank_7", 1e-160), ("rank_7", 1e150)])
@@ -318,26 +325,28 @@ def refuse_constant(name):
 @pytest.mark.parametrize("kind", ["full_rank", "rank_7"])
 def test_overflow_on_finite_data_is_named_and_reported_as_json(tmp_path, capsys, kind):
     # x1e150: B = T^T T is finite, but the sum of squares behind ||B||_F and
-    # the core S B_rr S overflow.  No warning escapes as a traceback (exit 1),
-    # the error names the overflow, and a report holds finite numbers only.
+    # the core S B_rr S overflow.  x1e200: B itself overflows.  No warning
+    # escapes as a traceback (exit 1), the error names the overflow, and a
+    # report holds finite numbers only.
     if kind == "full_rank":
         p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=200, n=12, r=12, seed=0))
     else:
         p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=200, n=12, r=7, seed=0))
-    io.write_matrix(tmp_path / "D.mtx", 1e150 * p.d)
-    io.write_matrix(tmp_path / "T.mtx", 1e150 * p.t)
-    files = ["--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["solve", *files]) == 3
-        assert "S B_rr S overflowed" in capsys.readouterr().err
-        code = run(["check", *files, "--report", tmp_path / "check.json"])
-    if kind == "full_rank":  # r = n: the empty complement needs no core
-        assert code == 0
-        report = json.loads((tmp_path / "check.json").read_text(), parse_constant=refuse_constant)
-        assert 0.0 < report["delta"] < float("inf")
-    else:
-        assert code == 3 and "S B_rr S overflowed" in capsys.readouterr().err
+    for scale, named in ((1e150, "S B_rr S overflowed"), (1e200, "B = T^T T overflowed")):
+        io.write_matrix(tmp_path / "D.mtx", scale * p.d)
+        io.write_matrix(tmp_path / "T.mtx", scale * p.t)
+        files = ["--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["solve", *files]) == 3
+            assert named in capsys.readouterr().err
+            code = run(["check", *files, "--report", tmp_path / "check.json"])
+        if kind == "full_rank" and scale == 1e150:  # r = n: the empty complement needs no core
+            assert code == 0
+            report = json.loads((tmp_path / "check.json").read_text(), parse_constant=refuse_constant)
+            assert 0.0 < report["delta"] < float("inf")
+        else:
+            assert code == 3 and named in capsys.readouterr().err
 
 
 def test_unreadable_compressed_input_exit_3(tmp_path):

@@ -98,6 +98,8 @@ def test_check_consistency_forced_inconsistent():
     rep = rankdef.check_consistency(bp, rankdef.default_delta(gram_b(p)))
     assert not rep.consistent
     assert rep.f_norm == pytest.approx(1.0, abs=1e-12)
+    # Without a delta, the test applies the default itself.
+    assert rankdef.check_consistency(bp) == rep
 
 
 @pytest.mark.parametrize("delta", [np.nan, 0.0, -1e-8])
@@ -247,7 +249,7 @@ def test_each_route_factors_d_once(route, spy):
         p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=12, n=5, r=5, seed=31))
     calls = {name: spy(linalg, name) for name in (
         "qr_svd_decompose", "rank_revealing_qr",
-        "numeric_rank", "singular_values", "spectral_decompose",
+        "numeric_rank", "singular_values", "symmetric_eigenpairs",
     )}
     sol = ROUTES[route](p)
     factors = [c.args[0] for name in ("qr_svd_decompose", "rank_revealing_qr")
@@ -259,7 +261,7 @@ def test_each_route_factors_d_once(route, spy):
     valued = [c.args[0].shape for c in calls["singular_values"].call_args_list]
     pivoted = [(p.n, p.n)] if route == "rankdef_cod" else []
     assert valued == pivoted + [(sol.rank, sol.rank)]
-    assert calls["spectral_decompose"].call_count == 1  # the core's, for test and solve
+    assert calls["symmetric_eigenpairs"].call_count == 1  # the core's, for test and solve
 
 
 @pytest.mark.parametrize("seed", range(5))
