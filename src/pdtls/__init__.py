@@ -3,7 +3,6 @@ systems D X ~= T under an errors-in-variables model, with direct solvers
 for full-rank and rank-deficient data, a consistent-problem generator, and
 a Dolan-More benchmarking harness."""
 
-from .api import solve
 from .bench import (
     PerformanceProfile,
     RunRecord,
@@ -41,6 +40,7 @@ from .rankdef import (
     check_consistency,
     partition_cod,
     partition_spectral,
+    solve,
     solve_rankdef,
 )
 

@@ -18,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import api, bench, generate, io, model, rankdef
+from . import bench, generate, io, model, rankdef
 from .errors import (
     DimensionError,
     NoSolutionError,
@@ -69,8 +69,8 @@ def _load_instance(args) -> model.ProblemInstance:
 
 def _solver_registry(delta, rank_tol):
     registry = {
-        method: lambda p, method=method: api.solve(p, method, rank_tol=rank_tol, delta=delta)
-        for method in api.METHODS
+        method: lambda p, method=method: rankdef.solve(p, method, rank_tol=rank_tol, delta=delta)
+        for method in rankdef.METHODS
         if method != "auto"
     }
     registry["baseline"] = bench.baseline_ols_projection
@@ -85,10 +85,9 @@ def _consistency_fields(check) -> dict:
 def cmd_solve(args) -> int:
     p = _load_instance(args)
     try:
-        sol = api.solve(p, args.method, rank_tol=args.rank_tol, delta=args.delta)
+        sol = rankdef.solve(p, args.method, rank_tol=args.rank_tol, delta=args.delta)
     except NoSolutionError as exc:
-        method = api.route_tag(args.method, exc.report.rank, p.n).replace("_", "-")
-        report = {"method": method, "rank_r": exc.report.rank}
+        report = {"method": exc.method_tag.replace("_", "-"), "rank_r": exc.report.rank}
         report.update(_consistency_fields(exc.report), E=None, kkt_residual=None, min_eigenvalue=None)
         _emit_report(report, args.report)
         print("no SPD solution: consistency test failed", file=sys.stderr)
@@ -233,7 +232,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--rank-tol", type=_positive_float, default=None, dest="rank_tol",
                         help="relative rank tolerance (default: 1e-10 * max(m, n))")
         sp.add_argument("--delta", type=_positive_float, default=None,
-                        help="consistency threshold (default: 1e-8 * max(1, ||B||_F))")
+                        help="consistency threshold (default: 1e-8 * ||B||_F)")
         sp.add_argument("--report", default=None,
                         help="write the JSON report here instead of stdout")
 
@@ -242,7 +241,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--target", required=True)
     sp.add_argument("--out", default=None, help="file for the computed X")
     sp.add_argument("--method", default="auto",
-                    choices=[method.replace("_", "-") for method in api.METHODS])
+                    choices=[method.replace("_", "-") for method in rankdef.METHODS])
     add_common(sp)
 
     sp = sub.add_parser("generate", help="generate a seeded test instance")

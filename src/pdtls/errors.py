@@ -22,8 +22,12 @@ class RankDeficiencyError(PdtlsError):
 
 
 class NoSolutionError(PdtlsError):
-    """The instance fails the consistency test: no SPD solution exists."""
+    """The instance fails the consistency test: no SPD solution exists.
 
-    def __init__(self, message, report=None):
+    report is the test's ConsistencyReport, method_tag the solution's tag.
+    """
+
+    def __init__(self, message, report=None, method_tag=None):
         super().__init__(message)
         self.report = report
+        self.method_tag = method_tag

@@ -1,46 +1,25 @@
 """Full-rank names over the one solve pipeline, rank(D) = n.
 
-Full-rank data is the r = n case of the reduction in rankdef: the R-only
-QR of D and the SVD of its triangle, R = W S V^T (linalg.qr_svd_decompose),
-give A = V S^2 V^T without A being formed; the partition of B = T^T T in
-the basis V is B itself; the consistency test refuses a numerically
-singular B (a rank-deficient T) with NoSolutionError; and the root is
+Full-rank data is the r = n case of the reduction in rankdef: with the
+SVD R = W S V^T of D's triangle, A = V S^2 V^T is never formed, and the
+root is
 
-    X* = V S^{-1} (S V^T B V S)^{1/2} S^{-1} V^T    (rankdef.solve_partition).
+    X* = V S^{-1} (S V^T B V S)^{1/2} S^{-1} V^T.
 
-solve_qr and solve_spectral name that one computation, and return the
-same X bit for bit; they differ only in the solution's method tag.  Each
-refuses rank-deficient D with RankDeficiencyError before forming B.
+solve_qr and solve_spectral return the same X bit for bit; they differ
+only in the solution's method tag (see rankdef.solve).
 """
 
-from . import linalg, model, rankdef
-from .errors import RankDeficiencyError
+from . import model, rankdef
 
-__all__ = ["partition", "solve_qr", "solve_spectral"]
-
-
-def partition(p: model.ProblemInstance, rank_tol: float | None = None) -> rankdef.BlockPartition:
-    """The r = n partition of p, from one factor of D.
-
-    Raises RankDeficiencyError when D is numerically rank deficient at
-    rank_tol, before B is formed.
-    """
-    f = linalg.qr_svd_decompose(p.d, rank_tol)
-    if f.rank < p.n:
-        # A caller that keeps the refusal keeps this frame; drop the factor so
-        # that kept refusals do not hold its arrays.
-        del f
-        raise RankDeficiencyError(
-            "data matrix is numerically rank deficient; use the rank-deficient solver"
-        )
-    return rankdef.partition_spectral(p, factor=f)
+__all__ = ["solve_qr", "solve_spectral"]
 
 
 def solve_qr(p: model.ProblemInstance, rank_tol: float | None = None) -> model.SpdSolution:
-    """Solve full-rank p, tagged "qr" (the default method)."""
-    return rankdef.solve_partition(p, partition(p, rank_tol), "qr")
+    """rankdef.solve(p, "qr"): solve full-rank p, tagged "qr"."""
+    return rankdef.solve(p, "qr", rank_tol=rank_tol)
 
 
 def solve_spectral(p: model.ProblemInstance, rank_tol: float | None = None) -> model.SpdSolution:
-    """Solve full-rank p, tagged "spectral"; the same X as solve_qr."""
-    return rankdef.solve_partition(p, partition(p, rank_tol), "spectral")
+    """rankdef.solve(p, "spectral"): the same X as solve_qr, tagged "spectral"."""
+    return rankdef.solve(p, "spectral", rank_tol=rank_tol)

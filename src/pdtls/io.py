@@ -8,6 +8,7 @@ produce byte-identical files.
 """
 
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,10 +58,13 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
         if hasattr(a, "toarray"):  # coordinate-format file
             a = a.toarray()
     else:
-        # numpy warns on a file without data, then returns no rows.
-        if os.path.getsize(path) == 0:
-            raise DimensionError(f"{path}: the file is empty")
-        a = np.loadtxt(path, delimiter=",", ndmin=2)
+        # numpy warns on a file without data (empty, blank or comments
+        # only), then returns no rows.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            a = np.loadtxt(path, delimiter=",", ndmin=2)
+        if not a.shape[0]:
+            raise DimensionError(f"{path}: the file holds no data")
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"{path}: expected a 2-D matrix, got shape {a.shape}")

@@ -25,25 +25,24 @@ full-rank closed form.  Full-rank data is the case r = n: (II) and (III)
 are empty, the complement is 0-by-0, and the test refuses only a
 numerically singular B (a rank-deficient T).
 
-Two routes build the basis U from the triangle R of D = Q R, neither
-forming A: the SVD of R, whose right singular vectors are the
-eigenvectors of A and whose singular values decide the rank; or a QR
-with column pivoting of R, R P = Q2 R0, whose singular values decide the
-rank r and whose leading r rows give the basis P V by their own SVD.
+partition_spectral and partition_cod build the basis U from the
+triangle R of D = Q R, neither forming A, and solve picks one by method.
 Each partition forms B = T^T T once and keeps it, with its factor of A,
 for the consistency threshold and the solution's diagnostics.
 """
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, model
-from .errors import DimensionError, NoSolutionError, NotPositiveDefiniteError
+from .errors import DimensionError, NoSolutionError, NotPositiveDefiniteError, RankDeficiencyError
 
 __all__ = [
+    "METHODS",
     "BlockPartition",
     "ConsistencyReport",
     "CompletionChoice",
@@ -51,6 +50,7 @@ __all__ = [
     "partition_spectral",
     "partition_cod",
     "check_consistency",
+    "solve",
     "solve_rankdef",
     "solve_partition",
     "block_residuals",
@@ -134,10 +134,14 @@ class CompletionChoice:
 
 
 def default_delta(b) -> float:
-    """Default consistency threshold 1e-8 * max(1, ||B||_F).
+    """Default consistency threshold 1e-8 * ||B||_F, relative to B alone,
+    so that no verdict depends on the units of D or T.
 
     Where the sum of squares overflows on finite B, ||B||_F is taken as
-    c ||B / c||_F with c = max |B|.
+    c ||B / c||_F with c = max |B|.  The threshold is never below the
+    smallest positive normal float, which is its value on B = 0: there it
+    admits f_norm = 0 alone, so T = 0 is consistent only when D = 0 too
+    (rank 0, where every SPD X fits exactly and X = L_free L_free^T).
     """
     b = np.asarray(b)
     with np.errstate(over="ignore"):
@@ -145,7 +149,7 @@ def default_delta(b) -> float:
     if math.isinf(norm) and np.isfinite(b).all():
         c = float(np.abs(b).max())
         norm = c * float(np.linalg.norm(b / c))
-    return 1e-8 * max(1.0, norm)
+    return max(1e-8 * norm, sys.float_info.min)
 
 
 def _blocks(
@@ -169,19 +173,14 @@ def _blocks(
     )
 
 
-def partition_spectral(
-    p: model.ProblemInstance,
-    rank_tol: float | None = None,
-    factor: linalg.QrSvdFactors | None = None,
-) -> BlockPartition:
+def partition_spectral(p: model.ProblemInstance, rank_tol: float | None = None) -> BlockPartition:
     """Build the block partition from the eigenpairs of A = D^T D.
 
     They are read from the SVD of D's triangular factor,
     A = V diag(s**2) V^T, and the same singular values decide the rank.
-    factor, when given, is that ``linalg.qr_svd_decompose(p.d, rank_tol)``,
-    already computed by the caller.  D's triangle is the factor of A.
+    D's triangle is the factor of A.
     """
-    f = linalg.qr_svd_decompose(p.d, rank_tol) if factor is None else factor
+    f = linalg.qr_svd_decompose(p.d, rank_tol)
     return _blocks(f.v, p.t, f.rank, f.s[: f.rank], f.r)
 
 
@@ -251,30 +250,39 @@ def check_consistency(bp: BlockPartition, delta: float | None = None) -> Consist
     )
 
 
-def solve_rankdef(
+METHODS = ("auto", "qr", "spectral", "rankdef_spectral", "rankdef_cod")
+
+
+def solve(
     p: model.ProblemInstance,
-    route: str = "spectral",
-    choice: CompletionChoice | None = None,
-    delta: float | None = None,
+    method: str = "auto",
+    *,
     rank_tol: float | None = None,
+    delta: float | None = None,
+    choice: CompletionChoice | None = None,
 ) -> model.SpdSolution:
-    """Solve p at D's numeric rank r along the given route; r = n is full rank.
+    """Solve p along ``method``, one of METHODS (a "-" may stand for "_").
 
-    Parameters
-    ----------
-    route : "spectral" or "cod".
-    choice : trailing free factor; identity of size n - r when omitted.
-    delta : consistency threshold; defaults to 1e-8 * max(1, ||B||_F).
-    rank_tol : relative rank tolerance passed to the partition step.
+    Every method factors D once.  "rankdef_cod" partitions B = T^T T in the
+    basis of partition_cod; the others in that of partition_spectral, at
+    D's numeric rank r.  "qr" and "spectral" name one computation at r = n:
+    they refuse rank-deficient D with RankDeficiencyError, before B is
+    formed.  "rankdef_spectral" and "rankdef_cod" solve at any rank r.
+    "auto" runs "rankdef_spectral" and tags its solution "qr" when r = n.
 
-    Returns the solution with the ConsistencyReport that admitted it in
-    its ``consistency`` field.
+    rank_tol is the relative rank tolerance of D; delta is the consistency
+    threshold, default_delta(B) when omitted; choice is the trailing free
+    factor, the identity of size n - r when omitted.
+
+    Returns the solution, whose ``rank`` is the r it was solved at and whose
+    ``consistency`` is the ConsistencyReport that admitted it.
 
     Raises
     ------
     NoSolutionError
-        If the consistency test fails (report attached to the exception),
-        including when B_rr is numerically singular, at any rank.
+        If the consistency test fails, including when B_rr is numerically
+        singular, at any rank; ``exc.report`` holds the report and
+        ``exc.method_tag`` the tag the solution would have carried.
     NotPositiveDefiniteError
         If the leading block B_rr is not SPD.
     ValueError
@@ -282,13 +290,43 @@ def solve_rankdef(
         overflows on the data, so that the consistency test cannot measure
         its misfit.
     """
+    method = method.replace("-", "_")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     # The partition is passed on, not kept here: a caller that keeps a
     # refusal keeps this frame.
-    if route == "spectral":
-        return solve_partition(p, partition_spectral(p, rank_tol), "rankdef_spectral", choice, delta)
-    if route == "cod":
-        return solve_partition(p, partition_cod(p, rank_tol), "rankdef_cod", choice, delta)
-    raise ValueError(f"unknown route {route!r}; expected 'spectral' or 'cod'")
+    return solve_partition(p, _partition(p, method, rank_tol), method, choice, delta)
+
+
+def _partition(p: model.ProblemInstance, method: str, rank_tol: float | None) -> BlockPartition:
+    if method == "rankdef_cod":
+        return partition_cod(p, rank_tol)
+    if method in ("auto", "rankdef_spectral"):
+        return partition_spectral(p, rank_tol)
+    # "qr" and "spectral": partition_spectral's steps, with the refusal
+    # between the factor of D and the forming of B.
+    f = linalg.qr_svd_decompose(p.d, rank_tol)
+    if f.rank < p.n:
+        # A caller that keeps the refusal keeps this frame; drop the factor so
+        # that kept refusals do not hold its arrays.
+        del f
+        raise RankDeficiencyError(
+            "data matrix is numerically rank deficient; use the rank-deficient solver"
+        )
+    return _blocks(f.v, p.t, p.n, f.s, f.r)
+
+
+def solve_rankdef(
+    p: model.ProblemInstance,
+    route: str = "spectral",
+    choice: CompletionChoice | None = None,
+    delta: float | None = None,
+    rank_tol: float | None = None,
+) -> model.SpdSolution:
+    """solve(p, "rankdef_" + route, ...) with route "spectral" or "cod"."""
+    if route not in ("spectral", "cod"):
+        raise ValueError(f"unknown route {route!r}; expected 'spectral' or 'cod'")
+    return solve(p, "rankdef_" + route, rank_tol=rank_tol, delta=delta, choice=choice)
 
 
 def solve_partition(
@@ -298,16 +336,16 @@ def solve_partition(
     choice: CompletionChoice | None = None,
     delta: float | None = None,
 ) -> model.SpdSolution:
-    """Solve p from its partition, at the partition's rank r <= n.
+    """Solve p from its partition bp along method_tag, one of METHODS.
 
-    bp is p's partition: partition_cod's under the method_tag "rankdef_cod",
-    partition_spectral's under the others ("qr", "spectral",
-    "rankdef_spectral"); the solution carries the tag.  bp's B sets the
-    default delta and, with its factor of A, the solution's diagnostics.
-    choice, delta, the return value and the refusals are as in
-    solve_rankdef; at r = n the trailing block is empty and the solution
-    is the unique minimizer.
+    The solution carries method_tag, or under "auto" "qr" at r = n and
+    "rankdef_spectral" below.  bp's B sets the default delta and, with its
+    factor of A, the solution's diagnostics.  choice, delta, the return
+    value and the refusals are as in solve; at r = n the trailing block is
+    empty and the solution is the unique minimizer.
     """
+    if method_tag == "auto":
+        method_tag = "qr" if bp.r == p.n else "rankdef_spectral"
     report = check_consistency(bp, delta)
     if not report.consistent:
         # A caller that keeps the refusal keeps this frame; drop the
@@ -316,6 +354,7 @@ def solve_partition(
         raise NoSolutionError(
             f"inconsistent instance: f_norm={report.f_norm:.3e} >= delta={report.delta:.3e}",
             report=report,
+            method_tag=method_tag,
         )
     n = p.n
     r = bp.r

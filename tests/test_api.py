@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from pdtls import api, cli, fullrank, generate, io, linalg, model, rankdef
+import pdtls
+from pdtls import cli, fullrank, generate, io, linalg, model, rankdef
 from pdtls.errors import NoSolutionError, RankDeficiencyError
 
 
@@ -36,38 +37,39 @@ METHOD_KINDS = [
 @pytest.mark.parametrize("method", sorted(ROUTES))
 def test_solve_matches_the_route(method):
     p = full_problem() if method in ("qr", "spectral") else rankdef_problem()
-    sol, ref = api.solve(p, method), ROUTES[method](p)
+    sol, ref = pdtls.solve(p, method), ROUTES[method](p)
     assert np.array_equal(sol.x, ref.x)
     assert (sol.method_tag, sol.rank, sol.consistency) == (ref.method_tag, ref.rank, ref.consistency)
     assert (sol.error_value, sol.kkt_residual) == (ref.error_value, ref.kkt_residual)
 
 
 def test_auto_picks_the_route_from_the_rank():
-    sol = api.solve(full_problem())
+    sol = pdtls.solve(full_problem())
     assert (sol.method_tag, sol.rank) == ("qr", 5)
-    sol = api.solve(rankdef_problem())
+    sol = pdtls.solve(rankdef_problem())
     assert (sol.method_tag, sol.rank, sol.consistency.rank) == ("rankdef_spectral", 3, 3)
 
 
 def test_method_names_and_options():
     p = rankdef_problem()
-    assert api.solve(p, "rankdef-cod").method_tag == "rankdef_cod"
+    assert pdtls.solve(p, "rankdef-cod").method_tag == "rankdef_cod"
     with pytest.raises(ValueError):
-        api.solve(p, "cod")
+        pdtls.solve(p, "cod")
     with pytest.raises(RankDeficiencyError):
-        api.solve(p, "qr")
+        pdtls.solve(p, "qr")
     # rank_tol and delta reach the route.
-    assert api.solve(p, delta=0.5).consistency.delta == 0.5
+    assert pdtls.solve(p, delta=0.5).consistency.delta == 0.5
     q = model.ProblemInstance(d=np.diag([1.0, 1e-12, 0.0]), t=np.diag([2.0, 3.0, 0.0]))
-    assert api.solve(q, rank_tol=1e-14).rank == 2
+    assert pdtls.solve(q, rank_tol=1e-14).rank == 2
 
 
 def test_refusal_carries_the_rank():
     p = model.ProblemInstance(d=np.diag([1.0, 0.0]), t=np.diag([2.0, 1.0]))
-    for method in ("auto", "rankdef_spectral", "rankdef_cod"):
+    for method, tag in (("auto", "rankdef_spectral"), ("rankdef_spectral", "rankdef_spectral"),
+                        ("rankdef-cod", "rankdef_cod")):
         with pytest.raises(NoSolutionError) as ei:
-            api.solve(p, method)
-        assert ei.value.report.rank == 1
+            pdtls.solve(p, method)
+        assert (ei.value.report.rank, ei.value.method_tag) == (1, tag)
 
 
 @pytest.mark.parametrize("method, kind", METHOD_KINDS)
@@ -75,7 +77,7 @@ def test_one_factor_of_d_and_one_gram_of_t(method, kind, spy, grams):
     p = grams.watch(full_problem() if kind == "full" else rankdef_problem())
     factors = {name: spy(linalg, name) for name in ("qr_svd_decompose", "rank_revealing_qr")}
     numeric_rank = spy(linalg, "numeric_rank")
-    api.solve(p, method)
+    pdtls.solve(p, method)
     assert sum(f.call_count for f in factors.values()) == 1
     assert (grams.count("t"), grams.count("d")) == (1, 0)
     assert numeric_rank.call_count == 0
@@ -88,7 +90,7 @@ def test_d_is_read_by_one_qr_kernel_call(method, kind, spy):
     p = full_problem() if kind == "full" else rankdef_problem()
     kernel = spy(linalg, "_qr_triangle")
     pivoted = spy(lapack, "dgeqp3")
-    api.solve(p, method)
+    pdtls.solve(p, method)
     assert kernel.call_count == 1 and kernel.call_args.args[0] is p.d
     shapes = [c.args[0].shape for c in pivoted.call_args_list]
     assert shapes == ([(p.n, p.n)] if method == "rankdef_cod" else [])
@@ -101,7 +103,7 @@ def test_one_eigendecomposition_and_one_cholesky(method, kind, spy):
     # no triangular system is solved.
     p = full_problem() if kind == "full" else rankdef_problem()
     calls = [spy(linalg, "symmetric_eigenpairs"), spy(linalg, "cholesky"), spy(lapack, "dtrtrs")]
-    rep = api.solve(p, method).consistency
+    rep = pdtls.solve(p, method).consistency
     assert [c.call_count for c in calls] == [1, 1, 0]
     if kind == "full":  # the complement is empty: nothing to measure
         assert (rep.rank, rep.f_norm, rep.consistent) == (p.n, 0.0, True)
@@ -143,10 +145,10 @@ def test_no_verdict_on_arithmetic_that_never_ran(case, method):
     # among them), never a NoSolutionError verdict on the data.
     expected = ValueError if case.endswith("x1e150") else np.linalg.LinAlgError
     with pytest.raises(expected):
-        api.solve(p, method)
+        pdtls.solve(p, method)
 
 
-@pytest.mark.parametrize("solve", [fullrank.solve_qr, fullrank.solve_spectral, api.solve],
+@pytest.mark.parametrize("solve", [fullrank.solve_qr, fullrank.solve_spectral, pdtls.solve],
                          ids=["solve_qr", "solve_spectral", "api_solve"])
 def test_full_rank_is_one_partition_solve(solve, spy):
     p = full_problem()
@@ -178,7 +180,7 @@ def test_kept_refusal_does_not_hold_the_factor(monkeypatch, method, d_diag, t_di
     monkeypatch.setattr(linalg, "qr_svd_decompose", tracked)
     p = model.ProblemInstance(d=np.diag(d_diag), t=np.diag(t_diag))
     with pytest.raises((RankDeficiencyError, NoSolutionError)) as kept:
-        api.solve(p, method)
+        pdtls.solve(p, method)
     assert kept.value.__traceback__ is not None
     assert kept_alive and all(ref() is None for ref in kept_alive)
 
@@ -210,7 +212,7 @@ def test_solve_path_makes_no_numpy_linalg_factorization(monkeypatch, tmp_path):
     for p in problems:
         for method in ("auto", "qr", "spectral", "rankdef_spectral", "rankdef_cod"):
             try:
-                api.solve(p, method)
+                pdtls.solve(p, method)
                 outcomes.add("ok")
             except (NoSolutionError, RankDeficiencyError) as exc:
                 outcomes.add(type(exc).__name__)

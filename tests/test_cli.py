@@ -293,13 +293,17 @@ def test_invalid_inputs_exit_3(tmp_path):
     assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "D.mtx",
                 "--out", tmp_path / "nodir" / "X.mtx", "--report", tmp_path / "report.json"]) == 3
     assert sorted(tmp_path.rglob("*")) == files
-    # An empty file is named, before numpy's warning on it escapes (exit 1).
+    # A file without data is named, before numpy's warning on it escapes
+    # (exit 1): empty, blank, or comments only.
     (tmp_path / "empty.csv").touch()
+    (tmp_path / "blank.csv").write_text("\n\n")
+    (tmp_path / "comment.csv").write_text("# only a comment\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for command in ("solve", "check"):
-            assert run([command, "--data", tmp_path / "empty.csv",
-                        "--target", tmp_path / "empty.csv"]) == 3
+        for name in ("empty", "blank", "comment"):
+            for command in ("solve", "check"):
+                assert run([command, "--data", tmp_path / f"{name}.csv",
+                            "--target", tmp_path / f"{name}.csv"]) == 3
 
 
 @pytest.mark.parametrize("kind, scale", [("full_rank", 1e-160), ("rank_7", 1e-160), ("rank_7", 1e150)])

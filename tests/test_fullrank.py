@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdtls import api, fullrank, generate, linalg, model, rankdef
+import pdtls
+from pdtls import fullrank, generate, linalg, model, rankdef
 from pdtls.errors import NoSolutionError, NotPositiveDefiniteError, RankDeficiencyError
 
 SOLVERS = [fullrank.solve_qr, fullrank.solve_spectral]
@@ -218,6 +219,6 @@ def test_forward_error_at_cond_1e5():
         )
         p, x0 = generate.gen_full_rank(spec)
         x_qr = fullrank.solve_qr(p).x
-        for x in (x_qr, api.solve(p).x):
+        for x in (x_qr, pdtls.solve(p).x):
             assert np.linalg.norm(x - x0) <= 1e-5 * np.linalg.norm(x0)
         assert np.array_equal(x_qr, fullrank.solve_spectral(p).x)

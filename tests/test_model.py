@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from pdtls import api, fullrank, generate, linalg, model, rankdef
+import pdtls
+from pdtls import fullrank, generate, linalg, model, rankdef
 from pdtls.errors import DimensionError, NotPositiveDefiniteError, SingularTriangularError
 
 SCALAR_E = 2.0 * np.sqrt(10.0) - 6.0  # minimum of 2x + 5/x - 6 at x = sqrt(2.5)
@@ -192,7 +193,7 @@ def test_make_solution_inverts_the_n_by_n_factor(spy):
     # E(X) applies Y^{-1} to T^T by a triangular product after one n-by-n
     # inversion; no triangular solve runs on the m columns of T^T.
     p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=2000, n=100, r=60, seed=0))
-    x = api.solve(p).x
+    x = pdtls.solve(p).x
     f, b = linalg.qr_svd_decompose(p.d).r, linalg.gram(p.t)
     solves = [spy(sla.lapack, "dtrtrs"), spy(sla.blas, "dtrsm")]
     inverses = spy(linalg, "triangular_inverse")
@@ -224,7 +225,7 @@ def hard_spectrum_solutions():
             m=200, n=12, r=12, seed=seed, noise_level=1e-6, spectrum_a=np.geomspace(1, 1e-7, 12)
         )
         p, _ = generate.gen_full_rank(spec)
-        yield p, api.solve(p)
+        yield p, pdtls.solve(p)
 
 
 def test_make_solution_error_matches_solve_form_on_hard_spectra():

@@ -1,4 +1,4 @@
-"""Forward error of api.solve against an independent 50-digit oracle.
+"""Forward error of pdtls.solve against an independent 50-digit oracle.
 
 The oracle is the matrix geometric mean of A^{-1} and B (Bhatia, Positive
 Definite Matrices, 2007, ch. 4), the unique SPD root of X A X = B:
@@ -21,12 +21,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from pdtls import api, generate
+import pdtls
+from pdtls import generate
 
 DIGITS = 50
 
 # Relative forward-error bound per cond(D): ten times the largest error
-# api.solve showed on these cases when the oracle was introduced (1.10e-10
+# pdtls.solve showed on these cases when the oracle was introduced (1.10e-10
 # at 1e3 and 9.41e-7 at 1e5, over seeds 0-1, noise-free and noisy).
 BOUND = {1e3: 1.1e-9, 1e5: 9.4e-6}
 # The same rule for consistent 200x12 data of rank 7 with eig(A) from 1
@@ -104,7 +105,7 @@ def test_forward_error_against_the_oracle(cond, seed, noise):
         # The generator's X0 solves the noise-free data up to the rounding
         # of T = D X0, which checks the oracle itself.
         assert rel(x0, ref) <= 1e-12
-    assert rel(api.solve(p).x, ref) <= BOUND[cond]
+    assert rel(pdtls.solve(p).x, ref) <= BOUND[cond]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -118,6 +119,6 @@ def test_rank_deficient_forward_error_against_the_oracle(cond, seed):
     # The oracle solves X A X = B on the generator's consistent data.
     a, b = p.d.T @ p.d, p.t.T @ p.t
     assert np.linalg.norm(ref @ a @ ref - b) <= 1e-12 * np.linalg.norm(b)
-    sol = api.solve(p)
+    sol = pdtls.solve(p)
     assert sol.rank == 7
     assert rel(sol.x, ref) <= RANKDEF_BOUND[cond]

@@ -11,15 +11,17 @@ data do.  For full-rank D it is unique, so:
 
 Below full rank X depends on the free completion, which the solver fixes
 in D's own basis, so only the left orthogonal factor must leave X as it
-is.  The examples are drawn deterministically, few enough to keep the
-suite quick.
+is, and scaling D by 2^i and T by 2^j must leave D's rank and the
+consistency verdict, with its margin f_norm / delta, as they are.  The
+examples are drawn deterministically, few enough to keep the suite quick.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdtls import api, generate, model
+import pdtls
+from pdtls import generate, model, rankdef
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=15, deadline=None, database=None)
 
@@ -46,7 +48,7 @@ def close(x, ref):
 def test_power_of_two_scaling(shape, seed, i, j):
     p = full_rank_problem(*shape, seed)
     scaled = model.ProblemInstance(d=2.0**i * p.d, t=2.0**j * p.t)
-    assert close(api.solve(scaled).x, 2.0 ** (j - i) * api.solve(p).x)
+    assert close(pdtls.solve(scaled).x, 2.0 ** (j - i) * pdtls.solve(p).x)
 
 
 @PROPERTY_SETTINGS
@@ -55,7 +57,7 @@ def test_left_orthogonal_factor(shape, seed):
     p = full_rank_problem(*shape, seed)
     q = generate.random_rotation(p.m, seed + 1)
     rotated = model.ProblemInstance(d=q @ p.d, t=q @ p.t)
-    assert close(api.solve(rotated).x, api.solve(p).x)
+    assert close(pdtls.solve(rotated).x, pdtls.solve(p).x)
 
 
 @PROPERTY_SETTINGS
@@ -67,7 +69,7 @@ def test_right_congruence(shape, seed):
     pm = generate.random_rotation(p.n, rng) * rng.uniform(0.5, 2.0, p.n)
     p_inv = np.linalg.inv(pm)
     moved = model.ProblemInstance(d=p.d @ pm, t=p.t @ p_inv.T)
-    assert close(api.solve(moved).x, p_inv @ api.solve(p).x @ p_inv.T)
+    assert close(pdtls.solve(moved).x, p_inv @ pdtls.solve(p).x @ p_inv.T)
 
 
 @PROPERTY_SETTINGS
@@ -78,6 +80,22 @@ def test_left_orthogonal_factor_below_full_rank(shape, seed, data):
     p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=m, n=n, r=r, seed=seed))
     q = generate.random_rotation(m, seed + 1)
     rotated = model.ProblemInstance(d=q @ p.d, t=q @ p.t)
-    sol, ref = api.solve(rotated), api.solve(p)
+    sol, ref = pdtls.solve(rotated), pdtls.solve(p)
     assert sol.rank == ref.rank == r
     assert close(sol.x, ref.x)
+
+
+@PROPERTY_SETTINGS
+@given(shape=shapes, seed=seeds, data=st.data(), i=st.integers(-40, 40), j=st.integers(-40, 40),
+       eps=st.sampled_from([0.0, 1e-6, 1e-3]))
+def test_power_of_two_scaling_below_full_rank(shape, seed, data, i, j, eps):
+    m, n = shape
+    r = data.draw(st.integers(1, n - 1), label="r")
+    p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=m, n=n, r=r, seed=seed))
+    noise = np.random.default_rng(seed).standard_normal(p.t.shape)
+    p = model.ProblemInstance(d=p.d, t=p.t + eps * np.linalg.norm(p.t) * noise / np.linalg.norm(noise))
+    scaled = model.ProblemInstance(d=2.0**i * p.d, t=2.0**j * p.t)
+    rep, ref = (rankdef.check_consistency(rankdef.partition_spectral(q)) for q in (scaled, p))
+    assert (rep.rank, rep.consistent) == (ref.rank, ref.consistent)
+    margin, ref_margin = rep.f_norm / rep.delta, ref.f_norm / ref.delta
+    assert abs(margin - ref_margin) <= 1e-6 * max(1.0, ref_margin)

@@ -285,6 +285,24 @@ def test_default_delta_survives_an_overflowing_sum_of_squares():
         assert rankdef.default_delta(1e300 * b) == pytest.approx(5e292, rel=1e-15)
 
 
+def test_verdict_does_not_depend_on_units():
+    # 40x8 of rank 4 with T perturbed at 3e-5: f_norm / delta is 4.83 at
+    # T x 1 and at T x 0.1; a threshold floored at 1e-8 in absolute terms
+    # accepted the second (0.054), since ||B||_F fell below 1.
+    p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=40, n=8, r=4, seed=3))
+    t = p.t + 3e-5 * np.random.default_rng(7).standard_normal(p.t.shape)
+    for k in (1.0, 0.1):
+        ref = rankdef.check_consistency(rankdef.partition_spectral(
+            model.ProblemInstance(d=p.d, t=k * t)))
+        assert not ref.consistent and ref.f_norm / ref.delta == pytest.approx(4.83, rel=1e-3)
+        for i in range(-40, 41, 5):
+            for j in range(-40, 41, 5):
+                scaled = model.ProblemInstance(d=2.0**i * p.d, t=2.0**j * k * t)
+                rep = rankdef.check_consistency(rankdef.partition_spectral(scaled))
+                assert (rep.rank, rep.consistent) == (4, False)
+                assert rep.f_norm / rep.delta == pytest.approx(ref.f_norm / ref.delta, rel=1e-12)
+
+
 def test_solve_rankdef_attaches_consistency_report():
     p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=12, n=5, r=3, seed=31))
     b = gram_b(p)
@@ -437,6 +455,14 @@ def test_zero_data_zero_target():
     p = model.ProblemInstance(d=np.zeros((3, 2)), t=np.zeros((3, 2)))
     sol = rankdef.solve_rankdef(p, delta=1e-8)
     assert_allclose(sol.x, np.eye(2), atol=1e-12)
+    # B = 0: the default threshold is the smallest normal float, which
+    # admits the zero misfit of D = 0 and refuses T = 0 under full-rank D.
+    sol = rankdef.solve_rankdef(p)
+    assert sol.consistency.delta == np.finfo(float).tiny
+    assert (sol.rank, sol.consistency.f_norm) == (0, 0.0)
+    assert np.array_equal(sol.x, np.eye(2))
+    with pytest.raises(NoSolutionError):
+        rankdef.solve_rankdef(model.ProblemInstance(d=np.eye(2), t=np.zeros((2, 2))))
 
 
 @pytest.mark.parametrize("route", ["spectral", "cod"])
