@@ -14,6 +14,7 @@ equations A X = D^T T, symmetrizes, and clips eigenvalues at
 import csv
 import time
 from dataclasses import dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -217,21 +218,25 @@ def compare_records(records, solver_id: str, baseline_id: str, metric_field: str
     }
 
 
-_FLOAT_FIELDS = ("wall_time", "error_value", "kkt_residual", "min_eigenvalue", "error_entry_std")
+def _column_type(f) -> type:
+    """The type a RunRecord field holds when set: str, float or int."""
+    return (get_args(f.type) or (f.type,))[0]
 
 
 def write_records_csv(records, path) -> None:
-    names = [f.name for f in fields(RunRecord)]
+    """One column per RunRecord field; a float has 17 significant digits and
+    None is an empty cell."""
+    columns = [(f.name, _column_type(f)) for f in fields(RunRecord)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(names)
+        w.writerow([name for name, _ in columns])
         for r in records:
             row = []
-            for name in names:
+            for name, kind in columns:
                 v = getattr(r, name)
                 if v is None:
                     row.append("")
-                elif name in _FLOAT_FIELDS:
+                elif kind is float:
                     row.append(format(v, ".17g"))
                 else:
                     row.append(str(v))
@@ -239,22 +244,17 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[RunRecord]:
+    """The records of write_records_csv's file; an empty cell of a field
+    that defaults to None reads as None."""
+    columns = [(f.name, _column_type(f), f.default is None) for f in fields(RunRecord)]
     records = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            records.append(
-                RunRecord(
-                    problem_id=row["problem_id"],
-                    solver_id=row["solver_id"],
-                    status=row["status"],
-                    wall_time=float(row["wall_time"]),
-                    error_value=float(row["error_value"]) if row["error_value"] else None,
-                    kkt_residual=float(row["kkt_residual"]) if row["kkt_residual"] else None,
-                    min_eigenvalue=float(row["min_eigenvalue"]) if row["min_eigenvalue"] else None,
-                    effective_rank=int(row["effective_rank"]) if row["effective_rank"] else None,
-                    error_entry_std=float(row["error_entry_std"]) if row["error_entry_std"] else None,
-                )
-            )
+            values = {
+                name: None if optional and not row[name] else kind(row[name])
+                for name, kind, optional in columns
+            }
+            records.append(RunRecord(**values))
     return records
 
 

@@ -61,10 +61,26 @@ def _emit_report(report: dict, path: str | None) -> None:
         print(text)
 
 
+def _read_instance(data, target, fmt) -> model.ProblemInstance:
+    return model.ProblemInstance(d=io.read_matrix(data, fmt), t=io.read_matrix(target, fmt))
+
+
 def _load_instance(args) -> model.ProblemInstance:
-    d = io.read_matrix(args.data, args.format)
-    t = io.read_matrix(args.target, args.format)
-    return model.ProblemInstance(d=d, t=t)
+    return _read_instance(args.data, args.target, args.format)
+
+
+def _generate(args, seed: int):
+    """(p, x0): the instance the generator flags and seed give, and its X0
+    at full rank (--rank equal to --n), None below."""
+    spec = generate.GeneratorSpec(m=args.m, n=args.n, r=args.rank, seed=seed, noise_level=args.noise)
+    if spec.r == spec.n:
+        return generate.gen_full_rank(spec)
+    return generate.gen_consistent_rankdef(spec), None
+
+
+def _cli_name(method: str) -> str:
+    """A method's name on the command line: each "_" of its library name as "-"."""
+    return method.replace("_", "-")
 
 
 def _solver_registry(delta, rank_tol):
@@ -77,9 +93,16 @@ def _solver_registry(delta, rank_tol):
     return registry
 
 
-def _consistency_fields(check) -> dict:
-    """Report fields of a ConsistencyReport."""
-    return {"consistent": check.consistent, "f_norm": check.f_norm, "delta": check.delta}
+def _report(check: rankdef.ConsistencyReport, **fields) -> dict:
+    """The JSON report of ``solve`` or ``check``: the consistency test's
+    fields, then the command's own."""
+    return {
+        "rank_r": check.rank,
+        "consistent": check.consistent,
+        "f_norm": check.f_norm,
+        "delta": check.delta,
+        **fields,
+    }
 
 
 def cmd_solve(args) -> int:
@@ -87,36 +110,32 @@ def cmd_solve(args) -> int:
     try:
         sol = rankdef.solve(p, args.method, rank_tol=args.rank_tol, delta=args.delta)
     except NoSolutionError as exc:
-        report = {"method": exc.method_tag.replace("_", "-"), "rank_r": exc.report.rank}
-        report.update(_consistency_fields(exc.report), E=None, kkt_residual=None, min_eigenvalue=None)
-        _emit_report(report, args.report)
+        sol, check, tag = None, exc.report, exc.method_tag
+    else:
+        check, tag = sol.consistency, sol.method_tag
+        if args.out:
+            io.write_matrix(args.out, sol.x, args.format)
+    report = _report(
+        check,
+        method=_cli_name(tag),
+        E=None if sol is None else sol.error_value,
+        kkt_residual=None if sol is None else sol.kkt_residual,
+        min_eigenvalue=None if sol is None else sol.min_eigenvalue,
+    )
+    _emit_report(report, args.report)
+    if sol is None:
         print("no SPD solution: consistency test failed", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    report = {"method": sol.method_tag.replace("_", "-"), "rank_r": sol.rank}
-    report.update(
-        _consistency_fields(sol.consistency),
-        E=sol.error_value,
-        kkt_residual=sol.kkt_residual,
-        min_eigenvalue=sol.min_eigenvalue,
-    )
-    if args.out:
-        io.write_matrix(args.out, sol.x, args.format)
-    _emit_report(report, args.report)
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
-    spec = generate.GeneratorSpec(
-        m=args.m, n=args.n, r=args.rank, seed=args.seed, noise_level=args.noise
-    )
+    p, x0 = _generate(args, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ext = args.format or "mtx"
-    if spec.r == spec.n:
-        p, x0 = generate.gen_full_rank(spec)
+    if x0 is not None:
         io.write_matrix(out / f"X0.{ext}", x0, ext)
-    else:
-        p = generate.gen_consistent_rankdef(spec)
     io.write_matrix(out / f"D.{ext}", p.d, ext)
     io.write_matrix(out / f"T.{ext}", p.t, ext)
     return EXIT_OK
@@ -124,18 +143,8 @@ def cmd_generate(args) -> int:
 
 def cmd_check(args) -> int:
     p = _load_instance(args)
-    bp = rankdef.partition_spectral(p, args.rank_tol)
-    check = rankdef.check_consistency(bp, args.delta)
-    _emit_report(
-        {
-            "rank_r": bp.r,
-            "f_norm": check.f_norm,
-            "delta": check.delta,
-            "consistent": check.consistent,
-            "b_rr_condition": check.b_rr_condition,
-        },
-        args.report,
-    )
+    check = rankdef.check_consistency(rankdef.partition_spectral(p, args.rank_tol), args.delta)
+    _emit_report(_report(check, b_rr_condition=check.b_rr_condition), args.report)
     return EXIT_OK if check.consistent else EXIT_NO_SOLUTION
 
 
@@ -149,10 +158,7 @@ def _suite_from_dir(suite_dir: str, fmt: str | None):
         t_path = d_path.with_name(d_path.name.replace("_D.", "_T."))
         if not t_path.exists():
             raise _UsageError(f"missing target file for problem {pid!r}")
-        p = model.ProblemInstance(
-            d=io.read_matrix(d_path, fmt), t=io.read_matrix(t_path, fmt)
-        )
-        problems.append((pid, p))
+        problems.append((pid, _read_instance(d_path, t_path, fmt)))
     return problems
 
 
@@ -163,14 +169,7 @@ def _suite_from_spec(args):
     problems = []
     for i in range(args.problems):
         seed = int(generate.derive_rng(args.seed, i).integers(0, 2**63 - 1))
-        spec = generate.GeneratorSpec(
-            m=args.m, n=args.n, r=args.rank, seed=seed, noise_level=args.noise
-        )
-        if spec.r == spec.n:
-            p, _ = generate.gen_full_rank(spec)
-        else:
-            p = generate.gen_consistent_rankdef(spec)
-        problems.append((f"gen-{i:04d}", p))
+        problems.append((f"gen-{i:04d}", _generate(args, seed)[0]))
     return problems
 
 
@@ -184,7 +183,8 @@ def cmd_bench(args) -> int:
     if not problems:
         raise _UsageError("suite is empty")
     registry = _solver_registry(args.delta, args.rank_tol)
-    solver_ids = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    # A "-" stands for each "_", as rankdef.solve reads --method.
+    solver_ids = [s.strip().replace("-", "_") for s in args.solvers.split(",") if s.strip()]
     unknown = [s for s in solver_ids if s not in registry]
     if unknown:
         raise _UsageError(f"unknown solvers {unknown}; available: {sorted(registry)}")
@@ -236,20 +236,23 @@ def build_parser() -> _Parser:
         sp.add_argument("--report", default=None,
                         help="write the JSON report here instead of stdout")
 
+    def add_generator(sp, required):
+        # The flags _generate reads; bench takes --m, --n and --rank only with --problems.
+        for name in ("m", "n", "rank"):
+            sp.add_argument(f"--{name}", type=int, required=required)
+        sp.add_argument("--seed", type=int, required=required, default=0)
+        sp.add_argument("--noise", type=float, default=0.0)
+
     sp = sub.add_parser("solve", help="solve D X ~= T for an SPD X")
     sp.add_argument("--data", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--out", default=None, help="file for the computed X")
     sp.add_argument("--method", default="auto",
-                    choices=[method.replace("_", "-") for method in rankdef.METHODS])
+                    choices=[_cli_name(method) for method in rankdef.METHODS])
     add_common(sp)
 
     sp = sub.add_parser("generate", help="generate a seeded test instance")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--noise", type=float, default=0.0)
+    add_generator(sp, required=True)
     sp.add_argument("--out-dir", default=".", dest="out_dir")
     sp.add_argument("--format", choices=io.FORMATS, default=None)
 
@@ -263,11 +266,7 @@ def build_parser() -> _Parser:
                     help="directory of <id>_D.<ext> / <id>_T.<ext> pairs")
     sp.add_argument("--problems", type=int, default=0,
                     help="number of generated problems (with --m/--n/--rank/--seed)")
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--rank", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--noise", type=float, default=0.0)
+    add_generator(sp, required=False)
     sp.add_argument("--solvers", default="qr,spectral,baseline")
     sp.add_argument("--repetitions", type=int, default=3)
     sp.add_argument("--records", required=True, help="output CSV of run records")

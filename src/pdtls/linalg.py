@@ -37,7 +37,6 @@ __all__ = [
     "symmetric_eigenvalues",
     "singular_values",
     "cholesky",
-    "numeric_rank",
     "symmetrize",
     "triangular_inverse",
 ]
@@ -68,7 +67,7 @@ def gram(a: np.ndarray) -> np.ndarray:
 def default_rank_tol(a: np.ndarray) -> float:
     """Default relative rank tolerance: 1e-10 * max(m, n).
 
-    ``numeric_rank`` multiplies this by the largest singular value, so the
+    The rank rule multiplies this by the largest singular value, so the
     effective absolute threshold is 1e-10 * sigma_max * max(m, n).
     """
     m, n = a.shape
@@ -95,8 +94,9 @@ def qr_svd_decompose(a, rank_tol: float | None = None) -> QrSvdFactors:
     """R-only Householder QR of a tall matrix, then the SVD of its triangle.
 
     One factorization of a serves its rank, its singular values and the
-    eigenbasis of a^T a.  The rank follows :func:`numeric_rank`'s rule, with
-    ``rank_tol`` defaulting to :func:`default_rank_tol` of a's own shape.
+    eigenbasis of a^T a.  The rank counts the singular values above
+    ``rank_tol * s[0]`` (:func:`_rank_of`), with ``rank_tol`` defaulting to
+    :func:`default_rank_tol` of a's own shape.
 
     Raises
     ------
@@ -227,18 +227,6 @@ def cholesky(a) -> np.ndarray:
         )
     _check_lapack("dpotrf", info)
     return l
-
-
-def numeric_rank(a, rank_tol: float | None = None) -> int:
-    """Count singular values above ``rank_tol * sigma_max``.
-
-    ``rank_tol`` defaults to :func:`default_rank_tol`.
-    """
-    a = as_matrix(a)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(a)
-    s = np.linalg.svd(a, compute_uv=False) if min(a.shape) else np.zeros(0)
-    return _rank_of(s, rank_tol)
 
 
 def _rank_of(s: np.ndarray, rank_tol: float) -> int:

@@ -53,7 +53,6 @@ __all__ = [
     "solve",
     "solve_rankdef",
     "solve_partition",
-    "block_residuals",
 ]
 
 
@@ -378,32 +377,3 @@ def solve_partition(
             yt[r:, r:] = l_free
     y = bp.basis_u @ yt
     return model.make_solution(p, bp.factor, bp.b, y @ y.T, method_tag, report)
-
-
-def block_residuals(bp: BlockPartition, x) -> tuple[float, float]:
-    """Relative residuals of block equations (I) and (II) for a solution x.
-
-    (I) is measured against ||B_rr||_F, (II) against ||B||_F.
-    """
-    x = linalg.as_matrix(x)
-    r = bp.r
-    if r == 0:
-        return 0.0, 0.0
-    xt = bp.basis_u.T @ x @ bp.basis_u
-    x_rr = xt[:r, :r]
-    x_rn = xt[:r, r:]
-    s2 = bp.s**2
-    norm_b = float(
-        np.sqrt(
-            np.linalg.norm(bp.b_rr) ** 2
-            + 2.0 * np.linalg.norm(bp.b_rn) ** 2
-            + np.linalg.norm(bp.b_nn) ** 2
-        )
-    )
-    res1 = np.linalg.norm(x_rr @ (s2[:, None] * x_rr) - bp.b_rr)
-    res1 = float(res1 / max(np.linalg.norm(bp.b_rr), np.finfo(float).tiny))
-    if x_rn.shape[1] == 0:
-        return res1, 0.0
-    res2 = np.linalg.norm(x_rr @ (s2[:, None] * x_rn) - bp.b_rn)
-    res2 = float(res2 / max(norm_b, np.finfo(float).tiny))
-    return res1, res2

@@ -74,13 +74,19 @@ def test_refusal_carries_the_rank():
 
 @pytest.mark.parametrize("method, kind", METHOD_KINDS)
 def test_one_factor_of_d_and_one_gram_of_t(method, kind, spy, grams):
-    p = grams.watch(full_problem() if kind == "full" else rankdef_problem())
+    # One pass: one factor of D, no SVD of D beside it, one B = T^T T, no
+    # A = D^T D, and one solution built, by no other route's entry point.
+    plain = full_problem() if kind == "full" else rankdef_problem()
+    p = grams.watch(plain)
     factors = {name: spy(linalg, name) for name in ("qr_svd_decompose", "rank_revealing_qr")}
-    numeric_rank = spy(linalg, "numeric_rank")
-    pdtls.solve(p, method)
-    assert sum(f.call_count for f in factors.values()) == 1
+    calls = [spy(np.linalg, "svd"), spy(model, "make_solution"), spy(fullrank, "solve_qr")]
+    x = pdtls.solve(p, method).x
+    factored = [c.args[0] for f in factors.values() for c in f.call_args_list]
+    assert len(factored) == 1 and factored[0] is p.d
     assert (grams.count("t"), grams.count("d")) == (1, 0)
-    assert numeric_rank.call_count == 0
+    assert [c.call_count for c in calls] == [0, 1, 0]
+    # Watching the products changes nothing in X.
+    assert np.array_equal(x, pdtls.solve(plain, method).x)
 
 
 @pytest.mark.parametrize("method, kind", METHOD_KINDS)
@@ -101,10 +107,15 @@ def test_one_eigendecomposition_and_one_cholesky(method, kind, spy):
     # The consistency test and the solve share one eigendecomposition of the
     # r-by-r core; make_solution's Cholesky factor of X is the only one, and
     # no triangular system is solved.
+    # Singular values are taken of B_rr, for the consistency test, and on the
+    # pivoted route first of the n-by-n pivoted triangle, to decide the rank.
     p = full_problem() if kind == "full" else rankdef_problem()
     calls = [spy(linalg, "symmetric_eigenpairs"), spy(linalg, "cholesky"), spy(lapack, "dtrtrs")]
+    valued = spy(linalg, "singular_values")
     rep = pdtls.solve(p, method).consistency
     assert [c.call_count for c in calls] == [1, 1, 0]
+    pivoted = [(p.n, p.n)] if method == "rankdef_cod" else []
+    assert [c.args[0].shape for c in valued.call_args_list] == pivoted + [(rep.rank, rep.rank)]
     if kind == "full":  # the complement is empty: nothing to measure
         assert (rep.rank, rep.f_norm, rep.consistent) == (p.n, 0.0, True)
         assert rep.b_rr_condition == pytest.approx(np.linalg.cond(p.t.T @ p.t), rel=1e-8)

@@ -494,3 +494,48 @@ def test_bench_problems_without_generator_flags_exit_3(tmp_path, capsys):
 def test_unknown_solver_exit_3(tmp_path):
     assert run(["bench", "--problems", 1, "--m", 6, "--n", 2, "--rank", 2,
                 "--seed", 0, "--solvers", "nope", "--records", tmp_path / "r.csv"]) == 3
+
+
+def test_report_keys_and_records_header(tmp_path):
+    # The exact fields of every JSON report and of the records CSV, as README
+    # documents them.
+    d, t = generate_rankdef(tmp_path)
+    sd, st = write_singular_target(tmp_path / "singular")
+    records = tmp_path / "records.csv"
+    for argv, code in [
+        (["solve", "--data", d, "--target", t], 0),
+        (["solve", "--data", sd, "--target", st], 2),
+        (["check", "--data", d, "--target", t], 0),
+        (["bench", "--problems", 2, "--m", 10, "--n", 3, "--rank", 3, "--seed", 1,
+          "--solvers", "qr,baseline", "--repetitions", 1, "--records", records], 0),
+    ]:
+        assert run([*argv, "--report", tmp_path / f"{argv[0]}{code}.json"]) == code
+    solve_keys = {"method", "rank_r", "consistent", "f_norm", "delta",
+                  "E", "kkt_residual", "min_eigenvalue"}
+    refusal = json.loads((tmp_path / "solve2.json").read_text())
+    assert set(json.loads((tmp_path / "solve0.json").read_text())) == solve_keys
+    assert set(refusal) == solve_keys
+    assert refusal["E"] is refusal["kkt_residual"] is refusal["min_eigenvalue"] is None
+    assert set(json.loads((tmp_path / "check0.json").read_text())) == {
+        "rank_r", "consistent", "f_norm", "delta", "b_rr_condition"}
+    report = json.loads((tmp_path / "bench0.json").read_text())
+    assert set(report) == {"problems", "solvers", "repetitions", "failures",
+                           "baseline_comparisons"}
+    for comparison in report["baseline_comparisons"]:
+        assert set(comparison) == {"solver", "baseline", "metric", "wins", "total", "win_rate"}
+    assert records.read_text().splitlines()[0] == (
+        "problem_id,solver_id,status,wall_time,error_value,kkt_residual,"
+        "min_eigenvalue,effective_rank,error_entry_std")
+
+
+def test_bench_solvers_take_either_spelling(tmp_path, capsys):
+    # --solvers reads a "-" as "_", as --method does; ids are recorded with "_".
+    records = tmp_path / "records.csv"
+    argv = ["bench", "--problems", 2, "--m", 12, "--n", 4, "--rank", 4, "--seed", 3,
+            "--repetitions", 1, "--records", records]
+    assert run([*argv, "--solvers", "rankdef-cod,baseline"]) == 0
+    assert json.loads(capsys.readouterr().out)["solvers"] == ["rankdef_cod", "baseline"]
+    rows = records.read_text().splitlines()[1:]
+    assert sorted({row.split(",")[1] for row in rows}) == ["baseline", "rankdef_cod"]
+    for unknown in ("nope", "rankdef-nope"):
+        assert run([*argv, "--solvers", unknown]) == 3

