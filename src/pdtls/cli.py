@@ -54,6 +54,10 @@ def _positive_float(text: str) -> float:
 
 
 def _emit_report(report: dict, path: str | None) -> None:
+    # Strict JSON: a non-finite float (the library's inf markers for a
+    # singular B_rr) is written as null.
+    report = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in report.items()}
     text = json.dumps(report, indent=2, sort_keys=True)
     if path:
         Path(path).write_text(text + "\n")
@@ -183,8 +187,10 @@ def cmd_bench(args) -> int:
     if not problems:
         raise _UsageError("suite is empty")
     registry = _solver_registry(args.delta, args.rank_tol)
-    # A "-" stands for each "_", as rankdef.solve reads --method.
-    solver_ids = [s.strip().replace("-", "_") for s in args.solvers.split(",") if s.strip()]
+    # A "-" stands for each "_", as rankdef.solve reads --method; each
+    # solver runs once, in the order first named.
+    names = (s.strip().replace("-", "_") for s in args.solvers.split(","))
+    solver_ids = list(dict.fromkeys(s for s in names if s))
     unknown = [s for s in solver_ids if s not in registry]
     if unknown:
         raise _UsageError(f"unknown solvers {unknown}; available: {sorted(registry)}")

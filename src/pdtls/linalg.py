@@ -10,10 +10,13 @@ scipy.linalg.lapack: dgeqrt for the triangle of a tall matrix, the drivers
 numpy.linalg calls (dsyevd, dgesdd, dpotrf), dgeqp3 for a QR with column
 pivoting and dtrtri for a triangular inverse, without numpy's per-call
 dispatch, which costs more than the work itself at the sizes of small
-fits.  A wrapper does not re-check what its callers establish: the
-symmetric eigensolvers read only the lower triangle and test no symmetry,
-and symmetric_eigenpairs takes the core its caller built and tested
-finite as it is.  A nonzero LAPACK ``info`` raises
+fits.  The Frobenius norms of a solve call BLAS's dnrm2 through
+scipy.linalg.blas, which scales as it sums: the norm of a finite matrix is
+finite, where numpy's sqrt(a . a) overflows once the squares pass the
+largest float.  A wrapper does not re-check what its callers establish:
+the symmetric eigensolvers read only the lower triangle and test no
+symmetry, and symmetric_eigenpairs takes the core its caller built and
+tested finite as it is.  A nonzero LAPACK ``info`` raises
 numpy.linalg.LinAlgError, unless the wrapper names a typed error for it.
 """
 
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import DimensionError, NotPositiveDefiniteError, SingularTriangularError
 
@@ -29,6 +32,7 @@ __all__ = [
     "QrSvdFactors",
     "as_matrix",
     "default_rank_tol",
+    "frobenius",
     "gram",
     "qr_svd_decompose",
     "rank_revealing_qr",
@@ -62,6 +66,12 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def gram(a: np.ndarray) -> np.ndarray:
     """Return the symmetrized Gram matrix a^T a of a tall matrix (~mn^2 flops)."""
     return symmetrize(a.T @ a)
+
+
+def frobenius(a: np.ndarray) -> float:
+    """||a||_F by BLAS's dnrm2, finite for every finite a."""
+    # dnrm2 rejects an empty vector.
+    return float(blas.dnrm2(a.ravel(order="K"))) if a.size else 0.0
 
 
 def default_rank_tol(a: np.ndarray) -> float:

@@ -128,11 +128,12 @@ def kkt_residual(f, b, x) -> float:
     """Relative stationarity residual ||x a x - b||_F / max(1, ||b||_F), a = f^T f.
 
     x a x = (f x)^T (f x) is formed from the factor f, never from a, so the
-    rounding of a formed a (~eps ||a||) does not enter.
+    rounding of a formed a (~eps ||a||) does not enter.  Both norms are
+    linalg.frobenius's, finite wherever b and the residual are.
     """
     fx = f @ linalg.as_matrix(x)
     res = fx.T @ fx - b
-    return float(np.linalg.norm(res) / max(1.0, np.linalg.norm(b)))
+    return linalg.frobenius(res) / max(1.0, linalg.frobenius(b))
 
 
 def make_solution(

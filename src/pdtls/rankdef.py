@@ -132,23 +132,17 @@ class CompletionChoice:
         return cls(l_free=np.eye(size))
 
 
-def default_delta(b) -> float:
+def default_delta(b: np.ndarray) -> float:
     """Default consistency threshold 1e-8 * ||B||_F, relative to B alone,
     so that no verdict depends on the units of D or T.
 
-    Where the sum of squares overflows on finite B, ||B||_F is taken as
-    c ||B / c||_F with c = max |B|.  The threshold is never below the
-    smallest positive normal float, which is its value on B = 0: there it
-    admits f_norm = 0 alone, so T = 0 is consistent only when D = 0 too
-    (rank 0, where every SPD X fits exactly and X = L_free L_free^T).
+    ||B||_F is linalg.frobenius's, finite for every finite B.  The
+    threshold is never below the smallest positive normal float, which is
+    its value on B = 0: there it admits f_norm = 0 alone, so T = 0 is
+    consistent only when D = 0 too (rank 0, where every SPD X fits exactly
+    and X = L_free L_free^T).
     """
-    b = np.asarray(b)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(b))
-    if math.isinf(norm) and np.isfinite(b).all():
-        c = float(np.abs(b).max())
-        norm = c * float(np.linalg.norm(b / c))
-    return max(1e-8 * norm, sys.float_info.min)
+    return max(1e-8 * linalg.frobenius(b), sys.float_info.min)
 
 
 def _blocks(
@@ -203,11 +197,11 @@ def check_consistency(bp: BlockPartition, delta: float | None = None) -> Consist
 
     (III) is solvable iff the Schur complement of B_rr in Bt vanishes, so
     this measures f_norm = ||B_nn - B_rn^T B_rr^{-1} B_rn||_F, read from the
-    partition's core eigenpairs as ||B_nn - g^T diag(lam)^{-1} g||_F, and
-    flags the instance consistent iff f_norm < delta, which defaults to
-    default_delta(bp.b).  At r = 0 the complement is B_nn itself,
-    f_norm = ||B||_F and b_rr_condition is 1.0; at r = n it is empty,
-    f_norm = 0 and b_rr_condition is cond(B).  A numerically singular
+    partition's core eigenpairs as ||B_nn - g^T diag(lam)^{-1} g||_F by
+    linalg.frobenius, and flags the instance consistent iff f_norm < delta,
+    which defaults to default_delta(bp.b).  At r = 0 the complement is B_nn
+    itself, f_norm = ||B||_F and b_rr_condition is 1.0; at r = n it is
+    empty, f_norm = 0 and b_rr_condition is cond(B).  A numerically singular
     leading block B_rr, at any rank r >= 1, means the data cannot support
     an SPD solution: reported inconsistent with f_norm and b_rr_condition
     both inf, before the core is decomposed.  Raises
@@ -231,15 +225,13 @@ def check_consistency(bp: BlockPartition, delta: float | None = None) -> Consist
                 b_rr_condition=float("inf"), rank=r,
             )
         cond = float(sv[0] / sv[-1])
-    f_norm = 0.0
-    if schur.size:
+    if r and schur.size:
         # A core eigenvalue that underflowed to 0, or a misfit past the
         # largest float, gives a non-finite f_norm, refused below.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if r:
-                lam, _, g = bp.core
-                schur = schur - g.T @ (g / lam[:, None])
-            f_norm = float(np.linalg.norm(schur))
+            lam, _, g = bp.core
+            schur = schur - g.T @ (g / lam[:, None])
+    f_norm = linalg.frobenius(schur)
     if not math.isfinite(f_norm):
         raise np.linalg.LinAlgError(
             f"consistency misfit f_norm={f_norm} is not finite: the data under- or overflowed"
@@ -271,7 +263,10 @@ def solve(
 
     rank_tol is the relative rank tolerance of D; delta is the consistency
     threshold, default_delta(B) when omitted; choice is the trailing free
-    factor, the identity of size n - r when omitted.
+    factor, sqrt(||T||_F / ||D||_F) times the identity of size n - r when
+    omitted, so that scaling D by a and T by b scales X by b / a at every
+    rank.  Every norm of the solve is linalg.frobenius's, so data whose
+    B = T^T T and core S B_rr S stay finite solve without overflow.
 
     Returns the solution, whose ``rank`` is the r it was solved at and whose
     ``consistency`` is the ConsistencyReport that admitted it.
@@ -328,6 +323,21 @@ def solve_rankdef(
     return solve(p, "rankdef_" + route, rank_tol=rank_tol, delta=delta, choice=choice)
 
 
+def _default_free_factor(bp: BlockPartition, n: int) -> np.ndarray:
+    """L_free = sqrt(c) I of order n - r, with c = ||T||_F / ||D||_F, so
+    that the free block carries the data's units and X(aD, bT) = (b/a) X
+    below full rank as at r = n.
+
+    ||T||_F is taken from B's diagonal, the squared column norms of T, and
+    ||D||_F from the partition's factor of A.  c is 1 at rank 0, where
+    D = 0, and is not computed at r = n, where the block is empty.
+    """
+    c = 1.0
+    if 0 < bp.r < n:
+        c = linalg.frobenius(np.sqrt(bp.b.diagonal())) / linalg.frobenius(bp.factor)
+    return math.sqrt(c) * np.eye(n - bp.r)
+
+
 def solve_partition(
     p: model.ProblemInstance,
     bp: BlockPartition,
@@ -357,7 +367,7 @@ def solve_partition(
         )
     n = p.n
     r = bp.r
-    l_free = np.eye(n - r) if choice is None else choice.l_free
+    l_free = _default_free_factor(bp, n) if choice is None else choice.l_free
     if l_free.shape[0] != n - r:
         raise DimensionError(
             f"l_free must be {n - r}x{n - r} for this instance, got {l_free.shape}"

@@ -196,12 +196,12 @@ def test_kept_refusal_does_not_hold_the_factor(monkeypatch, method, d_diag, t_di
     assert kept_alive and all(ref() is None for ref in kept_alive)
 
 
-NUMPY_FACTORIZATIONS = ("eigh", "eigvalsh", "svd", "solve", "cholesky", "qr")
+NUMPY_LINALG = ("eigh", "eigvalsh", "svd", "solve", "cholesky", "qr", "norm")
 
 
 def test_solve_path_makes_no_numpy_linalg_factorization(monkeypatch, tmp_path):
-    # Every n-by-n factorization of a solve calls LAPACK through linalg's
-    # wrappers.
+    # Every n-by-n factorization of a solve calls LAPACK, and every norm
+    # BLAS, through linalg's wrappers.
     full = full_problem()
     deficient = rankdef_problem()
     noise = np.random.default_rng(5).standard_normal(deficient.t.shape)
@@ -217,7 +217,7 @@ def test_solve_path_makes_no_numpy_linalg_factorization(monkeypatch, tmp_path):
             raise AssertionError(f"numpy.linalg.{name} called on the solve path")
         return call
 
-    for name in NUMPY_FACTORIZATIONS:
+    for name in NUMPY_LINALG:
         monkeypatch.setattr(np.linalg, name, forbidden(name))
     outcomes = set()
     for p in problems:

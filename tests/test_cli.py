@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pdtls
 from pdtls import cli, generate, io, linalg, model, rankdef
 from pdtls.cli import main
 
@@ -73,7 +74,8 @@ def test_full_rank_d_singular_target_exit_2(tmp_path, capsys):
     assert run(["check", "--data", d, "--target", t]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["rank_r"] == 3 and report["consistent"] is False
-    assert np.isinf(report["f_norm"]) and np.isinf(report["b_rr_condition"])
+    # The library's inf markers are written as null.
+    assert report["f_norm"] is None and report["b_rr_condition"] is None
     for method, named in [("auto", "qr"), ("qr", "qr"), ("spectral", "spectral"),
                           ("rankdef-spectral", "rankdef-spectral")]:
         assert run(["solve", "--data", d, "--target", t, "--method", method]) == 2
@@ -229,7 +231,8 @@ def test_command_forms_t_gram_once(tmp_path, monkeypatch, grams, command):
 
 
 def test_solve_rankdef_honours_small_rank_tol(tmp_path):
-    # The rank-2 core keeps sigma = 1e-12 at --rank-tol 1e-14.
+    # The rank-2 core keeps sigma = 1e-12 at --rank-tol 1e-14.  The free
+    # block is ||T||_F / ||D||_F = sqrt(13).
     io.write_matrix(tmp_path / "D.mtx", np.diag([1.0, 1e-12, 0.0]))
     io.write_matrix(tmp_path / "T.mtx", np.diag([2.0, 3.0, 0.0]))
     out = tmp_path / "X.mtx"
@@ -238,7 +241,7 @@ def test_solve_rankdef_honours_small_rank_tol(tmp_path):
                 "--report", tmp_path / "report.json"]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["rank_r"] == 2
-    scale = 1.0 / np.sqrt([2.0, 3e12, 1.0])
+    scale = 1.0 / np.sqrt([2.0, 3e12, np.sqrt(13.0)])
     x = io.read_matrix(out)
     assert np.allclose(scale[:, None] * x * scale[None, :], np.eye(3), rtol=0.0, atol=1e-12)
 
@@ -351,6 +354,49 @@ def test_overflow_on_finite_data_is_named_and_reported_as_json(tmp_path, capsys,
             assert 0.0 < report["delta"] < float("inf")
         else:
             assert code == 3 and named in capsys.readouterr().err
+
+
+def test_singular_leading_block_reports_are_strict_json(tmp_path):
+    # D = I, T = diag(1, 1, 0): B_rr = B is singular, so check and solve
+    # refuse, and the library's inf markers are written as null.
+    io.write_matrix(tmp_path / "D.csv", np.eye(3))
+    io.write_matrix(tmp_path / "T.csv", np.diag([1.0, 1.0, 0.0]))
+    files = ["--data", tmp_path / "D.csv", "--target", tmp_path / "T.csv"]
+    for command in ("check", "solve"):
+        report_path = tmp_path / f"{command}.json"
+        assert run([command, *files, "--report", report_path]) == 2
+        report = json.loads(report_path.read_text(), parse_constant=refuse_constant)
+        assert report["consistent"] is False and report["f_norm"] is None
+
+
+BAND = {
+    "full_rank": lambda: generate.gen_full_rank(generate.GeneratorSpec(m=40, n=8, r=8, seed=0))[0],
+    "rank_4": lambda: generate.gen_consistent_rankdef(generate.GeneratorSpec(m=40, n=8, r=4, seed=0)),
+}
+
+
+@pytest.mark.parametrize("d_scale, t_scale", [(1.0, 1e100), (1e-100, 1e100)])
+@pytest.mark.parametrize("kind", sorted(BAND))
+def test_large_target_solves_in_the_data_units(tmp_path, kind, d_scale, t_scale):
+    # Every norm of the solve stays finite when T^T T (about 1e200) and the
+    # core do, so X scaled back by d_scale / t_scale is the unscaled
+    # solution, from the library and the CLI alike, with no warning and a
+    # strict report.
+    p = BAND[kind]()
+    ref = pdtls.solve(p).x
+    scaled = model.ProblemInstance(d=d_scale * p.d, t=t_scale * p.t)
+    io.write_matrix(tmp_path / "D.mtx", scaled.d)
+    io.write_matrix(tmp_path / "T.mtx", scaled.t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = pdtls.solve(scaled).x
+        assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx",
+                    "--out", tmp_path / "X.mtx", "--report", tmp_path / "report.json"]) == 0
+    for solved in (x, io.read_matrix(tmp_path / "X.mtx")):
+        scaled_back = (d_scale / t_scale) * solved
+        assert np.linalg.norm(scaled_back - ref) <= 1e-12 * np.linalg.norm(ref)
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse_constant)
+    assert report["consistent"] is True and report["kkt_residual"] <= 1e-12
 
 
 def test_unreadable_compressed_input_exit_3(tmp_path):
@@ -539,3 +585,17 @@ def test_bench_solvers_take_either_spelling(tmp_path, capsys):
     assert sorted({row.split(",")[1] for row in rows}) == ["baseline", "rankdef_cod"]
     for unknown in ("nope", "rankdef-nope"):
         assert run([*argv, "--solvers", unknown]) == 3
+
+
+def test_bench_runs_each_named_solver_once(tmp_path, capsys):
+    # A solver named twice, in either spelling, is run and reported once.
+    records = tmp_path / "records.csv"
+    argv = ["bench", "--problems", 2, "--m", 12, "--n", 4, "--rank", 4, "--seed", 3,
+            "--repetitions", 1, "--records", records]
+    assert run([*argv, "--solvers", "qr,baseline,qr"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["solvers"] == ["qr", "baseline"]
+    assert len(report["baseline_comparisons"]) == 2
+    assert len(records.read_text().splitlines()) == 1 + 2 * 2
+    assert run([*argv, "--solvers", "rankdef-cod,rankdef_cod"]) == 0
+    assert json.loads(capsys.readouterr().out)["solvers"] == ["rankdef_cod"]

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import pdtls
-from pdtls import generate
+from pdtls import generate, rankdef
 
 DIGITS = 50
 
@@ -119,6 +119,7 @@ def test_rank_deficient_forward_error_against_the_oracle(cond, seed):
     # The oracle solves X A X = B on the generator's consistent data.
     a, b = p.d.T @ p.d, p.t.T @ p.t
     assert np.linalg.norm(ref @ a @ ref - b) <= 1e-12 * np.linalg.norm(b)
-    sol = pdtls.solve(p)
+    # The oracle completes with the identity, as CompletionChoice.identity does.
+    sol = pdtls.solve(p, choice=rankdef.CompletionChoice.identity(12 - 7))
     assert sol.rank == 7
     assert rel(sol.x, ref) <= RANKDEF_BOUND[cond]

@@ -122,9 +122,10 @@ def test_check_consistency_refuses_a_nan_leading_block(n):
 
 
 def test_check_consistency_refuses_a_non_finite_misfit():
-    # At r = 0 the complement is B itself: finite entries of about 3e306
-    # whose Frobenius norm overflows.  No verdict, inconsistent or not.
-    p = model.ProblemInstance(d=np.zeros((3, 2)), t=np.full((3, 2), 1e153))
+    # At r = 0 the complement is B itself: finite entries of 7.5e307 whose
+    # Frobenius norm, 2.25e308, is past the largest float.  No verdict,
+    # inconsistent or not.
+    p = model.ProblemInstance(d=np.zeros((3, 3)), t=np.full((3, 3), 5e153))
     bp = rankdef.partition_spectral(p)
     assert bp.r == 0 and np.isfinite(bp.b_nn).all()
     with pytest.raises(np.linalg.LinAlgError):
@@ -217,7 +218,9 @@ def test_solve_rankdef_keeps_core_at_small_rank_tol(route):
     # rank_tol = 1e-14 keeps sigma = 1e-12 in the rank-2 core, which must be
     # solved at that rank and not re-ranked at the default tolerance.
     p = model.ProblemInstance(d=np.diag([1.0, 1e-12, 0.0]), t=np.diag([2.0, 3.0, 0.0]))
-    sol = rankdef.solve_rankdef(p, route=route, rank_tol=1e-14)
+    sol = rankdef.solve_rankdef(
+        p, route=route, rank_tol=1e-14, choice=rankdef.CompletionChoice.identity(1)
+    )
     expected = np.array([2.0, 3e12, 1.0])
     scale = 1.0 / np.sqrt(expected)
     assert_allclose(scale[:, None] * sol.x * scale[None, :], np.eye(3), atol=1e-12)
@@ -274,7 +277,7 @@ def test_solve_rankdef_attaches_consistency_report():
 
 
 def test_solve_rankdef_diagonal_completion():
-    sol = rankdef.solve_rankdef(diag_problem())
+    sol = rankdef.solve_rankdef(diag_problem(), choice=rankdef.CompletionChoice.identity(1))
     assert_allclose(sol.x, np.diag([2.0, 1.0]), atol=1e-12)
     sol3 = rankdef.solve_rankdef(
         diag_problem(), choice=rankdef.CompletionChoice(l_free=np.array([[3.0]]))
