@@ -11,9 +11,9 @@ numpy.linalg calls (dsyevd, dgesdd, dpotrf), dgeqp3 for a QR with column
 pivoting and dtrtri for a triangular inverse, without numpy's per-call
 dispatch, which costs more than the work itself at the sizes of small
 fits.  The Frobenius norms of a solve call BLAS's dnrm2 through
-scipy.linalg.blas, which scales as it sums: the norm of a finite matrix is
-finite, where numpy's sqrt(a . a) overflows once the squares pass the
-largest float.  A wrapper does not re-check what its callers establish:
+scipy.linalg.blas, which scales as it sums: the norm is finite whenever
+||a||_F itself is at most the largest float, where numpy's sqrt(a . a)
+overflows once the squares pass it.  A wrapper does not re-check what its callers establish:
 the symmetric eigensolvers read only the lower triangle and test no
 symmetry, and symmetric_eigenpairs takes the core its caller built and
 tested finite as it is.  A nonzero LAPACK ``info`` raises
@@ -69,7 +69,7 @@ def gram(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    """||a||_F by BLAS's dnrm2, finite for every finite a."""
+    """||a||_F by BLAS's dnrm2, finite whenever ||a||_F is at most the largest float."""
     # dnrm2 rejects an empty vector.
     return float(blas.dnrm2(a.ravel(order="K"))) if a.size else 0.0
 

@@ -136,7 +136,9 @@ def default_delta(b: np.ndarray) -> float:
     """Default consistency threshold 1e-8 * ||B||_F, relative to B alone,
     so that no verdict depends on the units of D or T.
 
-    ||B||_F is linalg.frobenius's, finite for every finite B.  The
+    ||B||_F is linalg.frobenius's, finite whenever ||B||_F itself is at
+    most the largest float; past it the threshold is Inf, which
+    check_consistency refuses.  The
     threshold is never below the smallest positive normal float, which is
     its value on B = 0: there it admits f_norm = 0 alone, so T = 0 is
     consistent only when D = 0 too (rank 0, where every SPD X fits exactly
@@ -207,11 +209,14 @@ def check_consistency(bp: BlockPartition, delta: float | None = None) -> Consist
     both inf, before the core is decomposed.  Raises
     ValueError unless delta > 0 (a NaN delta is rejected too), and
     numpy.linalg.LinAlgError when LAPACK cannot take the singular values of
-    B_rr (a NaN in it) or the measured f_norm is NaN or Inf (the arithmetic
-    under- or overflowed): a failed computation, not a verdict.
+    B_rr (a NaN in it), or the measured f_norm or the default delta is Inf
+    or NaN (the arithmetic under- or overflowed): a failed computation, not
+    a verdict.
     """
     if delta is None:
         delta = default_delta(bp.b)
+        if not math.isfinite(delta):
+            raise np.linalg.LinAlgError(f"default delta={delta} is not finite: ||B||_F overflowed")
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     r = bp.r
@@ -266,7 +271,8 @@ def solve(
     factor, sqrt(||T||_F / ||D||_F) times the identity of size n - r when
     omitted, so that scaling D by a and T by b scales X by b / a at every
     rank.  Every norm of the solve is linalg.frobenius's, so data whose
-    B = T^T T and core S B_rr S stay finite solve without overflow.
+    B = T^T T, ||B||_F and core S B_rr S stay finite solve without
+    overflow.
 
     Returns the solution, whose ``rank`` is the r it was solved at and whose
     ``consistency`` is the ConsistencyReport that admitted it.

@@ -72,15 +72,16 @@ def test_generate_check_solve_round_trip(tmp_path, capsys):
 def test_full_rank_d_singular_target_exit_2(tmp_path, capsys):
     d, t = write_singular_target(tmp_path)
     assert run(["check", "--data", d, "--target", t]) == 2
-    report = json.loads(capsys.readouterr().out)
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
     assert report["rank_r"] == 3 and report["consistent"] is False
-    # The library's inf markers are written as null.
+    # The library's inf markers are written as null: every report is strict JSON.
     assert report["f_norm"] is None and report["b_rr_condition"] is None
     for method, named in [("auto", "qr"), ("qr", "qr"), ("spectral", "spectral"),
                           ("rankdef-spectral", "rankdef-spectral")]:
         assert run(["solve", "--data", d, "--target", t, "--method", method]) == 2
-        report = json.loads(capsys.readouterr().out)
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
         assert (report["method"], report["rank_r"], report["consistent"]) == (named, 3, False)
+        assert report["f_norm"] is None
 
 
 def test_exit_codes_of_a_real_process(tmp_path):
@@ -325,6 +326,15 @@ def test_unmeasurable_misfit_exit_3(tmp_path, kind, scale):
         assert run([command, "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx"]) == 3
 
 
+def test_overflowing_default_delta_exit_3(tmp_path):
+    # B = T^T T and the misfit are finite, ||B||_F is not: no threshold,
+    # so no verdict (see test_rankdef).
+    io.write_matrix(tmp_path / "D.mtx", np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
+    io.write_matrix(tmp_path / "T.mtx", 9e153 * np.eye(6))
+    for command in ("solve", "check"):
+        assert run([command, "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx"]) == 3
+
+
 def refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -354,19 +364,6 @@ def test_overflow_on_finite_data_is_named_and_reported_as_json(tmp_path, capsys,
             assert 0.0 < report["delta"] < float("inf")
         else:
             assert code == 3 and named in capsys.readouterr().err
-
-
-def test_singular_leading_block_reports_are_strict_json(tmp_path):
-    # D = I, T = diag(1, 1, 0): B_rr = B is singular, so check and solve
-    # refuse, and the library's inf markers are written as null.
-    io.write_matrix(tmp_path / "D.csv", np.eye(3))
-    io.write_matrix(tmp_path / "T.csv", np.diag([1.0, 1.0, 0.0]))
-    files = ["--data", tmp_path / "D.csv", "--target", tmp_path / "T.csv"]
-    for command in ("check", "solve"):
-        report_path = tmp_path / f"{command}.json"
-        assert run([command, *files, "--report", report_path]) == 2
-        report = json.loads(report_path.read_text(), parse_constant=refuse_constant)
-        assert report["consistent"] is False and report["f_norm"] is None
 
 
 BAND = {

@@ -132,6 +132,20 @@ def test_check_consistency_refuses_a_non_finite_misfit():
         rankdef.check_consistency(bp, 1.0)
 
 
+def test_check_consistency_refuses_a_non_finite_default_delta():
+    # B = 8.1e307 I6 and the misfit ||B_nn||_F = 1.4e308 are finite, but
+    # ||B||_F = 1.98e308 is past the largest float: an Inf threshold would
+    # pass any misfit, so no verdict is given.
+    p = model.ProblemInstance(d=np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), t=9e153 * np.eye(6))
+    bp = rankdef.partition_spectral(p)
+    assert bp.r == 3 and np.isfinite(bp.b).all()
+    assert rankdef.default_delta(bp.b) == float("inf")
+    with pytest.raises(np.linalg.LinAlgError, match="default delta"):
+        rankdef.check_consistency(bp)
+    with pytest.raises(np.linalg.LinAlgError):
+        rankdef.solve(p)
+
+
 def test_check_consistency_singular_leading_block():
     # rank(B) < r forces a singular B_rr: reported inconsistent with inf markers
     d3 = np.diag([1.0, 1.0, 0.0])
