@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(np.float64).eps
+_HALF_MAX = 0.5 * np.finfo(np.float64).max
 
 
 def as_matrix(a) -> np.ndarray:
@@ -59,7 +60,17 @@ def as_matrix(a) -> np.ndarray:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (a + a^T) / 2."""
+    """Return (a + a^T) / 2, finite wherever a is.
+
+    The sum is halved, rounding once, unless an entry passes half the
+    largest float, where a + a^T could overflow; there the halves are
+    summed instead.  Halving first always would move subnormal entries by
+    an ulp.
+    """
+    flat = a.ravel(order="K")
+    if flat.size and abs(flat[blas.idamax(flat)]) > _HALF_MAX:
+        h = 0.5 * a
+        return h + h.T
     return 0.5 * (a + a.T)
 
 

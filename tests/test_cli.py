@@ -396,6 +396,24 @@ def test_large_target_solves_in_the_data_units(tmp_path, kind, d_scale, t_scale)
     assert report["consistent"] is True and report["kkt_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("diag", [[1.0, 1.0], [1.0, 1.0, 0.0]], ids=["full_rank", "rank_2"])
+def test_target_past_half_the_largest_float_solves(tmp_path, diag):
+    # B = T^T T = 1e308 I on the range of D: finite, though B + B^T is not.
+    d = np.diag(diag)
+    t = 1e154 * d
+    io.write_matrix(tmp_path / "D.mtx", d)
+    io.write_matrix(tmp_path / "T.mtx", t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = pdtls.solve(model.ProblemInstance(d=d, t=t))
+        assert run(["solve", "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx",
+                    "--out", tmp_path / "X.mtx", "--report", tmp_path / "report.json"]) == 0
+    for x in (sol.x, io.read_matrix(tmp_path / "X.mtx")):
+        assert x.tolist() == (1e154 * np.eye(len(diag))).tolist()
+    assert sol.kkt_residual == 0.0
+    assert json.loads((tmp_path / "report.json").read_text())["kkt_residual"] == 0.0
+
+
 def test_unreadable_compressed_input_exit_3(tmp_path):
     # scipy's reader decompresses a path ending in .gz; a plain-text file
     # under that name is invalid input, not an internal error.

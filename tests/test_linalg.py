@@ -181,6 +181,18 @@ def test_qr_svd_edge_shapes():
     assert linalg.qr_svd_decompose(np.zeros((3, 2))).rank == 0
 
 
+def test_symmetrize_is_finite_past_half_the_largest_float():
+    # (a + a^T) / 2 is at most max|a|; the sum a + a^T alone overflows.
+    a = np.array([[1.5e308, 1e308], [-1e308, 1.7e308]])
+    with np.errstate(all="raise"):
+        sym = linalg.symmetrize(a)
+    assert sym.tolist() == [[1.5e308, 0.0], [0.0, 1.7e308]]
+    # Elsewhere the sum is halved, rounding once: halving first would take
+    # the smallest subnormal to 0.
+    tiny = np.array([[0.0, 5e-324], [5e-324, 0.0]])
+    assert linalg.symmetrize(tiny).tolist() == tiny.tolist()
+
+
 @pytest.mark.parametrize("m,n", [(10, 4), (50, 20), (200, 100)])
 def test_roundtrip_property(m, n):
     rng = np.random.default_rng(m * 1000 + n)
