@@ -18,8 +18,11 @@ imported only where its reader or writer runs.
 """
 
 import os
+import re
 import stat
 import warnings
+import zlib
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -72,27 +75,53 @@ def write_matrix(path, a, fmt: str | None = None) -> None:
         np.savetxt(path, a, delimiter=",", fmt="%.17g")
 
 
-def _read_small_mtx(path) -> np.ndarray | None:
-    """The matrix of a small, plain dense MatrixMarket file, or None.
+def _has_no_rows(fh) -> bool:
+    """Whether the size line of a MatrixMarket file, the first line after
+    the banner that is neither blank nor a "%" comment, counts no rows."""
+    fh.readline()  # the banner
+    for line in fh:
+        fields = line.split()
+        if fields and not fields[0].startswith(b"%"):
+            return re.fullmatch(rb"-?0+", fields[0]) is not None
+    return False
 
-    None leaves the file to scipy's reader: anything but a regular file of
-    at most _SMALL_MTX_BYTES with no compressed name, exactly the banner
+
+def _read_head(name: str) -> tuple[bytes | None, bool]:
+    """(text, no_rows): the bytes of a regular file of at most
+    _SMALL_MTX_BYTES without a compressed name, else None, and whether its
+    size line counts no rows, read from the head of another regular file
+    as scipy's reader decompresses it.  A stream (whose head would be taken
+    from scipy's reader) and a file that cannot be read are left to it."""
+    try:
+        info = os.stat(name)
+        if not stat.S_ISREG(info.st_mode):
+            return None, False
+        if name.endswith((".gz", ".bz2")):
+            import bz2
+            import gzip
+
+            fh = (gzip if name.endswith(".gz") else bz2).open(name)
+        elif info.st_size <= _SMALL_MTX_BYTES:
+            with open(name, "rb") as fh:
+                text = fh.read()
+            return text, _has_no_rows(BytesIO(text))
+        else:
+            fh = open(name, "rb")
+        with fh:
+            return None, _has_no_rows(fh)
+    except (OSError, EOFError, zlib.error):
+        return None, False
+
+
+def _parse_small_mtx(text: bytes) -> np.ndarray | None:
+    """The matrix of a small, plain dense MatrixMarket file's text, or None.
+
+    None leaves the file to scipy's reader: anything but exactly the banner
     scipy writes, "%" lines, a size line "m n" and then m * n lines of one
     token each, made of _VALUE_BYTES only, none starting with "+", that
     numpy parses.  The values are column-major, and the result is C-ordered
     and bit for bit scipy's.
     """
-    name = os.fspath(path)
-    if name.endswith((".gz", ".bz2")):
-        return None
-    try:  # scipy's reader raises its own error on a file it cannot open
-        info = os.stat(name)
-        if not stat.S_ISREG(info.st_mode) or info.st_size > _SMALL_MTX_BYTES:
-            return None
-        with open(name, "rb") as fh:
-            text = fh.read()
-    except OSError:
-        return None
     banner, _, rest = text.partition(b"\n")
     if banner != _SMALL_MTX_BANNER:
         return None
@@ -121,13 +150,17 @@ def _read_small_mtx(path) -> np.ndarray | None:
 def read_matrix(path, fmt: str | None = None) -> np.ndarray:
     fmt = infer_format(path, fmt)
     if fmt == "mtx":
-        a = _read_small_mtx(path)
+        name = os.fspath(path)
+        text, no_rows = _read_head(name)
+        if no_rows:  # scipy 1.17's reader dies of SIGFPE on an array with no rows
+            raise DimensionError(f"{path}: the matrix has no rows")
+        a = None if text is None else _parse_small_mtx(text)
         if a is None:
             import scipy.io
 
             # Pass the path, not a handle: scipy's reader then opens the
             # file itself rather than pulling it through a Python stream.
-            a = scipy.io.mmread(os.fspath(path))
+            a = scipy.io.mmread(name)
             if hasattr(a, "toarray"):  # coordinate-format file
                 a = a.toarray()
     else:
@@ -138,7 +171,4 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
             a = np.loadtxt(path, delimiter=",", ndmin=2)
         if not a.shape[0]:
             raise DimensionError(f"{path}: the file holds no data")
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError(f"{path}: expected a 2-D matrix, got shape {a.shape}")
     return as_matrix(a)

@@ -13,11 +13,14 @@ dispatch, which costs more than the work itself at the sizes of small
 fits.  The Frobenius norms of a solve call BLAS's dnrm2 through
 scipy.linalg.blas, which scales as it sums: the norm is finite whenever
 ||a||_F itself is at most the largest float, where numpy's sqrt(a . a)
-overflows once the squares pass it.  A wrapper does not re-check what its callers establish:
-the symmetric eigensolvers read only the lower triangle and test no
-symmetry, and symmetric_eigenpairs takes the core its caller built and
-tested finite as it is.  A nonzero LAPACK ``info`` raises
+overflows once the squares pass it.  A nonzero LAPACK ``info`` raises
 numpy.linalg.LinAlgError, unless the wrapper names a typed error for it.
+The kernels trust their callers to pass finite float64 matrices of the
+shapes they name: outside input is checked once, where it enters, by
+model.ProblemInstance (m-by-n, m >= n >= 1), rankdef.CompletionChoice,
+io.read_matrix, rankdef.solve (method; rank_tol in _rank_of, delta in
+check_consistency) and model's error_trace, error_frobenius and
+kkt_residual, and make_solution checks a solve's X.
 """
 
 import math
@@ -75,8 +78,10 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def gram(a: np.ndarray) -> np.ndarray:
-    """Return the symmetrized Gram matrix a^T a of a tall matrix (~mn^2 flops)."""
-    return symmetrize(a.T @ a)
+    """Return the Gram matrix a^T a of a tall matrix (~mn^2 flops), not
+    symmetrized: no caller needs it exact (numpy's dsyrk makes it so for
+    a contiguous a)."""
+    return a.T @ a
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -91,8 +96,7 @@ def default_rank_tol(a: np.ndarray) -> float:
     The rank rule multiplies this by the largest singular value, so the
     effective absolute threshold is 1e-10 * sigma_max * max(m, n).
     """
-    m, n = a.shape
-    return 1e-10 * max(m, n, 1)
+    return 1e-10 * max(a.shape)
 
 
 @dataclass(frozen=True)
@@ -111,31 +115,19 @@ class QrSvdFactors:
     rank: int
 
 
-def qr_svd_decompose(a, rank_tol: float | None = None) -> QrSvdFactors:
-    """R-only Householder QR of a tall matrix, then the SVD of its triangle.
+def qr_svd_decompose(a: np.ndarray, rank_tol: float | None = None) -> QrSvdFactors:
+    """R-only Householder QR of a (m >= n >= 1), then the SVD of its triangle.
 
     One factorization of a serves its rank, its singular values and the
     eigenbasis of a^T a.  The rank counts the singular values above
     ``rank_tol * s[0]`` (:func:`_rank_of`), with ``rank_tol`` defaulting to
     :func:`default_rank_tol` of a's own shape.
-
-    Raises
-    ------
-    DimensionError
-        If the input has fewer rows than columns.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        raise DimensionError(f"qr_svd_decompose requires rows >= cols, got {m}x{n}")
-    if rank_tol is None:
-        rank_tol = default_rank_tol(a)
-    if n == 0:  # LAPACK's dgesdd rejects an empty matrix
-        return QrSvdFactors(r=np.zeros((0, 0)), s=np.zeros(0), v=np.zeros((0, 0)), rank=0)
     r = _qr_triangle(a)
     _, s, vt, info = lapack.dgesdd(r, compute_uv=1, full_matrices=0)
     _check_lapack("dgesdd", info)
-    return QrSvdFactors(r=r, s=s, v=vt.T, rank=_rank_of(s, rank_tol))
+    tol = default_rank_tol(a) if rank_tol is None else rank_tol
+    return QrSvdFactors(r=r, s=s, v=vt.T, rank=_rank_of(s, tol))
 
 
 # Column block of the recursive-panel QR, fixed as LAPACK's own NB is.
@@ -143,7 +135,7 @@ _QR_BLOCK = 32
 
 
 def _qr_triangle(a: np.ndarray) -> np.ndarray:
-    """The n-by-n upper triangle r of a = Q r (m >= n), Q not formed.
+    """The n-by-n upper triangle r of a = Q r (m >= n >= 1), Q not formed.
 
     LAPACK's dgeqrt: Householder QR in panels of _QR_BLOCK columns, each
     factored recursively (Elmroth & Gustavson, IBM J. Res. Dev. 44(4),
@@ -154,8 +146,6 @@ def _qr_triangle(a: np.ndarray) -> np.ndarray:
     keep that alive for as long as r lives.
     """
     n = a.shape[1]
-    if n == 0:  # dgeqrt needs a block of at least one column
-        return np.zeros((0, 0))
     qr, _, info = lapack.dgeqrt(min(n, _QR_BLOCK), a)
     _check_lapack("dgeqrt", info)
     r = qr[:n].copy()
@@ -180,45 +170,36 @@ def symmetric_eigenpairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), u[:, ::-1].copy()
 
 
-def symmetric_eigenvalues(a) -> np.ndarray:
+def symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, descending, by LAPACK's dsyevd
     without eigenvectors.
 
     Only the lower triangle of a is read, as numpy.linalg.eigvalsh reads
     it; a is not tested for symmetry.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"symmetric_eigenvalues requires a square matrix, got {a.shape}")
     w, _, info = lapack.dsyevd(a, compute_v=0, lower=1)
     _check_lapack("dsyevd", info)
     return w[::-1]
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values of a matrix, descending, by LAPACK's dgesdd without
-    singular vectors.
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of a non-empty matrix, descending, by LAPACK's
+    dgesdd without singular vectors.
 
-    As numpy.linalg.svd does, and unlike :func:`as_matrix`, this takes
-    non-finite entries: dgesdd refuses a NaN, which raises LinAlgError.
+    As numpy.linalg.svd does, this takes non-finite entries: dgesdd
+    refuses a NaN, which raises LinAlgError.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not min(a.shape):  # dgesdd rejects an empty matrix
-        return np.zeros(0)
     _, s, _, info = lapack.dgesdd(a, compute_uv=0)
     _check_lapack("dgesdd", info)
     return s
 
 
-def right_singular_vectors(a) -> tuple[np.ndarray, np.ndarray]:
+def right_singular_vectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(s, v): the singular values of a k-by-n matrix a (k <= n), descending,
     and its full n-by-n right factor, a = W [diag(s), 0] v^T, taken as
     dgesdd's left factor of a^T: it diagonalized a^T a to 2.3e-15 relative,
     its right factor of the wide a to 4.3e-15 (99th percentiles over 800
     generated 20x6 rank-3 cases), and KKT residuals followed."""
-    a = as_matrix(a)
     if not a.size:  # dgesdd rejects an empty matrix
         return np.zeros(0), np.eye(a.shape[1])
     v, s, _, info = lapack.dgesdd(a.T, compute_uv=1, full_matrices=1)
@@ -226,7 +207,7 @@ def right_singular_vectors(a) -> tuple[np.ndarray, np.ndarray]:
     return s, v
 
 
-def cholesky(a) -> np.ndarray:
+def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower triangular l with positive diagonal, l @ l.T = a, for an SPD matrix a.
 
     LAPACK's dpotrf reads the lower triangle of a; the upper triangle of l
@@ -235,12 +216,8 @@ def cholesky(a) -> np.ndarray:
     Raises
     ------
     NotPositiveDefiniteError
-        If a pivot <= 0 is encountered, i.e. the input is not SPD, or the
-        input is not square.
+        If a pivot <= 0 is encountered, i.e. the input is not SPD.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NotPositiveDefiniteError(f"matrix is not positive definite: not square, {a.shape}")
     l, info = lapack.dpotrf(a, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefiniteError(
@@ -254,19 +231,16 @@ def _rank_of(s: np.ndarray, rank_tol: float) -> int:
     """Count the descending singular values s above ``rank_tol * s[0]``."""
     if not (math.isfinite(rank_tol) and rank_tol > 0.0):
         raise ValueError(f"rank_tol must be positive and finite, got {rank_tol}")
-    if s.size == 0 or s[0] == 0.0:
-        return 0
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
-def rank_revealing_qr(a, rank_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def rank_revealing_qr(a: np.ndarray, rank_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(top, piv): a[:, piv] = Q [top; ~0], Q not formed, where LAPACK's
     dgeqp3 pivots the triangle of a's R-only QR: pivoting reads only column
     norms, which Q keeps (Golub & Van Loan, Matrix Computations, 4th ed.,
     sec. 5.4).  top keeps the pivoted triangle's leading rank rows, the rank
     by :func:`qr_svd_decompose`'s rule on its singular values.
     """
-    a = as_matrix(a)
     rp, jpvt, _, _, info = lapack.dgeqp3(_qr_triangle(a))
     _check_lapack("dgeqp3", info)
     rp = np.triu(rp)
@@ -274,7 +248,7 @@ def rank_revealing_qr(a, rank_tol: float | None = None) -> tuple[np.ndarray, np.
     return rp[: _rank_of(singular_values(rp), tol)], jpvt - 1
 
 
-def triangular_inverse(factor, lower: bool = True) -> np.ndarray:
+def triangular_inverse(factor: np.ndarray, lower: bool = True) -> np.ndarray:
     """The inverse of a square triangular factor, by LAPACK's dtrtri.
 
     Only the ``lower`` (or upper) triangle of factor is read, and only that
@@ -287,15 +261,9 @@ def triangular_inverse(factor, lower: bool = True) -> np.ndarray:
         On a numerically zero pivot: min |diag| <= k * eps * max |diag| for
         a factor of order k, which would amplify rounding by more than
         1 / (k * eps).
-    DimensionError
-        If factor is not square.
     """
-    factor = as_matrix(factor)
-    k = factor.shape[0]
-    if factor.shape != (k, k):
-        raise DimensionError(f"cannot invert a non-square {factor.shape} factor")
     piv = np.abs(factor.diagonal())
-    if k and piv.min() <= k * _EPS * piv.max():
+    if piv.min() <= piv.size * _EPS * piv.max():
         raise SingularTriangularError("triangular factor has a numerically zero pivot")
     inv, info = lapack.dtrtri(factor, lower=int(lower))
     # The pivot rule has refused every zero pivot, dtrtri's only info > 0.

@@ -41,7 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A pair (d, t) of m-by-n data/target matrices, m >= n."""
+    """A pair (d, t) of finite m-by-n data/target matrices, m >= n >= 1."""
 
     d: np.ndarray
     t: np.ndarray
@@ -51,8 +51,8 @@ class ProblemInstance:
         t = linalg.as_matrix(self.t)
         if d.shape != t.shape:
             raise DimensionError(f"d and t must have identical shape, got {d.shape} vs {t.shape}")
-        if d.shape[0] < d.shape[1]:
-            raise DimensionError(f"need m >= n, got {d.shape}")
+        if not d.shape[0] >= d.shape[1] >= 1:
+            raise DimensionError(f"need m >= n >= 1, got shape {d.shape}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "t", t)
 
@@ -85,9 +85,13 @@ class SpdSolution:
     consistency: "ConsistencyReport | None" = None
 
 
-def _chol_lower(x) -> np.ndarray:
-    # SPD check and factor in one step; raises NotPositiveDefiniteError.
-    return linalg.cholesky(linalg.symmetrize(linalg.as_matrix(x)))
+def _chol_lower(x) -> tuple[np.ndarray, np.ndarray]:
+    # (x, l): a caller's x checked and symmetrized, and its Cholesky factor.
+    x = linalg.as_matrix(x)
+    if x.shape[0] != x.shape[1]:
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: not square, {x.shape}")
+    x = linalg.symmetrize(x)
+    return x, linalg.cholesky(x)
 
 
 def error_trace(p: ProblemInstance, x) -> float:
@@ -97,8 +101,7 @@ def error_trace(p: ProblemInstance, x) -> float:
     Cholesky factor of X, so this oracle shares no kernel with the dtrtri
     and dtrmm of make_solution's E(X).
     """
-    l = _chol_lower(x)
-    x = linalg.symmetrize(linalg.as_matrix(x))
+    x, l = _chol_lower(x)
     txinv = cho_solve((l, True), p.t.T).T
     return float(np.sum((p.d @ x - p.t) * (p.d - txinv)))
 
@@ -121,7 +124,7 @@ def _error_of_factor(p: ProblemInstance, y: np.ndarray) -> float:
 
 def error_frobenius(p: ProblemInstance, x) -> float:
     """E(X) = ||D Y - T Y^{-T}||_F^2 with Y the lower Cholesky factor of X."""
-    return _error_of_factor(p, _chol_lower(x))
+    return _error_of_factor(p, _chol_lower(x)[1])
 
 
 def kkt_residual(f, b, x) -> float:

@@ -207,7 +207,7 @@ def check_consistency(bp: BlockPartition, delta: float | None = None) -> Consist
     leading block B_rr, at any rank r >= 1, means the data cannot support
     an SPD solution: reported inconsistent with f_norm and b_rr_condition
     both inf, before the core is decomposed.  Raises
-    ValueError unless delta > 0 (a NaN delta is rejected too), and
+    ValueError unless delta is positive and finite, and
     numpy.linalg.LinAlgError when LAPACK cannot take the singular values of
     B_rr (a NaN in it), or the measured f_norm or the default delta is Inf
     or NaN (the arithmetic under- or overflowed): a failed computation, not
@@ -217,8 +217,8 @@ def check_consistency(bp: BlockPartition, delta: float | None = None) -> Consist
         delta = default_delta(bp.b)
         if not math.isfinite(delta):
             raise np.linalg.LinAlgError(f"default delta={delta} is not finite: ||B||_F overflowed")
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     r = bp.r
     schur = bp.b_nn
     cond = 1.0
@@ -324,8 +324,6 @@ def solve_rankdef(
     rank_tol: float | None = None,
 ) -> model.SpdSolution:
     """solve(p, "rankdef_" + route, ...) with route "spectral" or "cod"."""
-    if route not in ("spectral", "cod"):
-        raise ValueError(f"unknown route {route!r}; expected 'spectral' or 'cod'")
     return solve(p, "rankdef_" + route, rank_tol=rank_tol, delta=delta, choice=choice)
 
 

@@ -121,6 +121,15 @@ def test_one_eigendecomposition_and_one_cholesky(method, kind, spy):
         assert rep.b_rr_condition == pytest.approx(np.linalg.cond(p.t.T @ p.t), rel=1e-8)
 
 
+@pytest.mark.parametrize("method, kind", METHOD_KINDS)
+def test_inputs_are_checked_where_they_enter(method, kind, spy):
+    # ProblemInstance checked D and T; no kernel of the solve checks them again.
+    p = full_problem() if kind == "full" else rankdef_problem()
+    checked = spy(linalg, "as_matrix")
+    rankdef.solve(p, method)
+    assert not [a for c in checked.call_args_list for a in c.args if a is p.d or a is p.t]
+
+
 def scaled(p, k):
     return model.ProblemInstance(d=k * p.d, t=k * p.t)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -31,6 +33,8 @@ def test_problem_instance_validation():
         model.ProblemInstance(d=np.ones((2, 2)), t=np.ones((3, 2)))
     with pytest.raises(DimensionError):
         model.ProblemInstance(d=np.ones((2, 3)), t=np.ones((2, 3)))
+    with pytest.raises(DimensionError, match=re.escape("(3, 0)")):
+        model.ProblemInstance(d=np.ones((3, 0)), t=np.ones((3, 0)))
     with pytest.raises(ValueError):
         model.ProblemInstance(d=np.array([[np.nan], [1.0]]), t=np.ones((2, 1)))
 
@@ -179,6 +183,9 @@ def test_make_solution_validates():
     assert sol.kkt_residual == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(NotPositiveDefiniteError):
         model.make_solution(p, np.eye(2), b, np.diag([1.0, -1.0]), "qr")
+    # An X that overflowed is refused before any kernel reads it.
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        model.make_solution(p, np.eye(2), b, np.diag([1.0, np.inf]), "qr")
 
 
 def test_make_solution_refuses_a_singular_factor():

@@ -103,11 +103,14 @@ def test_check_consistency_forced_inconsistent():
     assert rankdef.check_consistency(bp) == rep
 
 
-@pytest.mark.parametrize("delta", [np.nan, 0.0, -1e-8])
+@pytest.mark.parametrize("delta", [np.nan, 0.0, -1e-8, np.inf])
 def test_check_consistency_rejects_bad_delta(delta):
+    # An infinite threshold would admit any misfit as consistent.
     p = diag_problem()
     with pytest.raises(ValueError):
         rankdef.check_consistency(rankdef.partition_spectral(p), delta)
+    with pytest.raises(ValueError):
+        rankdef.solve(p, delta=delta)
 
 
 @pytest.mark.parametrize("n", [2, 3], ids=["r_equals_n", "r_below_n"])
