@@ -12,9 +12,13 @@ scipy's reader.  scipy's reader costs about 90 us per call however small
 the file, and slows the solve after it as a 2 MiB memset in its place
 does, while Python parses at about 250-300 ns per value: for small fits
 the in-process parse is the cheaper, past about 16 KiB scipy's is.  Both
-give the same array, bit for bit.  Writes stay on scipy's writer, which
-a Python writer matched at 8x8 and lost to at 40x8.  scipy.io itself is
-imported only where its reader or writer runs.
+give the same array, bit for bit.  A stream (a pipe, a FIFO) cannot be
+read twice, so it is read once, in full: parsed in-process when small and
+plain, handed to scipy's reader as a BytesIO of its bytes otherwise.  A
+regular file reaches scipy's reader by path, which it reads faster than
+a BytesIO.  Writes stay on scipy's writer, which a Python writer matched
+at 8x8 and lost to at 40x8.  scipy.io itself is imported only where its
+reader or writer runs.
 """
 
 import os
@@ -86,31 +90,59 @@ def _has_no_rows(fh) -> bool:
     return False
 
 
-def _read_head(name: str) -> tuple[bytes | None, bool]:
-    """(text, no_rows): the bytes of a regular file of at most
-    _SMALL_MTX_BYTES without a compressed name, else None, and whether its
-    size line counts no rows, read from the head of another regular file
-    as scipy's reader decompresses it.  A stream (whose head would be taken
-    from scipy's reader) and a file that cannot be read are left to it."""
+def _decompressor(name: str):
+    """The module that decompresses a file of this name as scipy's reader
+    does, gzip or bz2, or None."""
+    if name.endswith(".gz"):
+        import gzip
+
+        return gzip
+    if name.endswith(".bz2"):
+        import bz2
+
+        return bz2
+    return None
+
+
+def _read_head(name: str) -> tuple[bytes | None, bool, object]:
+    """(text, no_rows, source): the bytes to parse in-process or None,
+    whether the size line counts no rows, and what scipy's reader reads.
+
+    A regular file stays on disk for scipy, by path: text is its bytes
+    when it is at most _SMALL_MTX_BYTES without a compressed name, and
+    no_rows is read from its head as scipy's reader decompresses it.  A
+    file that cannot be read is left to scipy.  A stream (a pipe, a FIFO)
+    cannot be read twice, so it is read once, in full, and decompressed by
+    its name: text is all of it, parsed in-process when small, and source
+    a BytesIO of the same bytes.
+    """
+    codec = _decompressor(name)
     try:
         info = os.stat(name)
-        if not stat.S_ISREG(info.st_mode):
-            return None, False
-        if name.endswith((".gz", ".bz2")):
-            import bz2
-            import gzip
-
-            fh = (gzip if name.endswith(".gz") else bz2).open(name)
+    except OSError:
+        return None, False, name
+    if not stat.S_ISREG(info.st_mode):
+        with open(name, "rb") as fh:
+            text = fh.read()
+        if codec is not None:
+            try:
+                text = codec.decompress(text)
+            except (EOFError, zlib.error) as exc:
+                raise ValueError(f"{name}: cannot decompress: {exc}") from None
+        return text, _has_no_rows(BytesIO(text)), BytesIO(text)
+    try:
+        if codec is not None:
+            fh = codec.open(name)
         elif info.st_size <= _SMALL_MTX_BYTES:
             with open(name, "rb") as fh:
                 text = fh.read()
-            return text, _has_no_rows(BytesIO(text))
+            return text, _has_no_rows(BytesIO(text)), name
         else:
             fh = open(name, "rb")
         with fh:
-            return None, _has_no_rows(fh)
+            return None, _has_no_rows(fh), name
     except (OSError, EOFError, zlib.error):
-        return None, False
+        return None, False, name
 
 
 def _parse_small_mtx(text: bytes) -> np.ndarray | None:
@@ -151,16 +183,17 @@ def read_matrix(path, fmt: str | None = None) -> np.ndarray:
     fmt = infer_format(path, fmt)
     if fmt == "mtx":
         name = os.fspath(path)
-        text, no_rows = _read_head(name)
+        text, no_rows, source = _read_head(name)
         if no_rows:  # scipy 1.17's reader dies of SIGFPE on an array with no rows
             raise DimensionError(f"{path}: the matrix has no rows")
-        a = None if text is None else _parse_small_mtx(text)
+        small = text is not None and len(text) <= _SMALL_MTX_BYTES
+        a = _parse_small_mtx(text) if small else None
         if a is None:
             import scipy.io
 
-            # Pass the path, not a handle: scipy's reader then opens the
-            # file itself rather than pulling it through a Python stream.
-            a = scipy.io.mmread(name)
+            # A regular file goes by path: scipy's reader then opens it
+            # itself rather than pulling it through a Python stream.
+            a = scipy.io.mmread(source)
             if hasattr(a, "toarray"):  # coordinate-format file
                 a = a.toarray()
     else:

@@ -11,13 +11,18 @@ The stationarity condition of the reduced problem min tr(A X + X^{-1} B)
 is the quadratic matrix equation X A X = B with A = D^T D and B = T^T T.
 
 No solve forms A.  make_solution takes the route's own factor f of A
-(f^T f = A) and the B the route formed.  It reads E(X) in the second form,
-from two triangular products, one with D and one with T, the second by the
-inverse of X's n-by-n Cholesky factor: the only m-row work after X is
-known.  The stationarity residual is measured as ||(f X)^T (f X) - B||_F,
-which is n-sized.  error_trace is an independent oracle for tests.
+(f^T f = A) and the B the route formed, both of the pair the route scaled
+(see rankdef.BlockPartition), with the solution of that pair.  It reads
+E(X) in the second form, in the caller's units, from two triangular
+products, one with D and one with T, the second by the inverse of X's
+n-by-n Cholesky factor: the only m-row work after X is known.  The
+stationarity residual is measured in the scaled units as
+||(f X)^T (f X) - B||_F, which is n-sized.  error_trace is an independent
+oracle for tests.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -85,11 +90,13 @@ class SpdSolution:
     consistency: "ConsistencyReport | None" = None
 
 
-def _chol_lower(x) -> tuple[np.ndarray, np.ndarray]:
-    # (x, l): a caller's x checked and symmetrized, and its Cholesky factor.
+def _chol_lower(x, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # (x, l): a caller's n-by-n x checked and symmetrized, and its Cholesky factor.
     x = linalg.as_matrix(x)
     if x.shape[0] != x.shape[1]:
         raise NotPositiveDefiniteError(f"matrix is not positive definite: not square, {x.shape}")
+    if x.shape[0] != n:
+        raise DimensionError(f"x must be {(n, n)} for this instance, got {x.shape}")
     x = linalg.symmetrize(x)
     return x, linalg.cholesky(x)
 
@@ -101,7 +108,7 @@ def error_trace(p: ProblemInstance, x) -> float:
     Cholesky factor of X, so this oracle shares no kernel with the dtrtri
     and dtrmm of make_solution's E(X).
     """
-    x, l = _chol_lower(x)
+    x, l = _chol_lower(x, p.n)
     txinv = cho_solve((l, True), p.t.T).T
     return float(np.sum((p.d @ x - p.t) * (p.d - txinv)))
 
@@ -114,17 +121,25 @@ def _error_of_factor(p: ProblemInstance, y: np.ndarray) -> float:
     from one n-by-n inversion, not a triangular solve on m columns, which
     BLAS runs several times slower for the same flops.  E is a sum of
     squares, so nothing cancels.  D^T and T^T are read in place and the
-    difference is taken in the first term's storage.
+    difference is taken in the first term's storage.  A sum past the
+    largest float reads inf.
     """
     res = blas.dtrmm(1.0, y, p.d.T, lower=1, trans_a=1)
-    res -= blas.dtrmm(1.0, linalg.triangular_inverse(y), p.t.T, lower=1)
-    v = res.ravel(order="K")
-    return float(v @ v)
+    with np.errstate(over="ignore"):
+        res -= blas.dtrmm(1.0, linalg.triangular_inverse(y), p.t.T, lower=1)
+        v = res.ravel(order="K")
+        return float(v @ v)
 
 
 def error_frobenius(p: ProblemInstance, x) -> float:
     """E(X) = ||D Y - T Y^{-T}||_F^2 with Y the lower Cholesky factor of X."""
-    return _error_of_factor(p, _chol_lower(x)[1])
+    return _error_of_factor(p, _chol_lower(x, p.n)[1])
+
+
+def _stationarity_misfit(f, b, x) -> float:
+    # ||x a x - b||_F with a = f^T f, x a x formed as (f x)^T (f x).
+    fx = f @ x
+    return linalg.frobenius(fx.T @ fx - b)
 
 
 def kkt_residual(f, b, x) -> float:
@@ -132,11 +147,13 @@ def kkt_residual(f, b, x) -> float:
 
     x a x = (f x)^T (f x) is formed from the factor f, never from a, so the
     rounding of a formed a (~eps ||a||) does not enter.  Both norms are
-    linalg.frobenius's, finite wherever b and the residual are.
+    linalg.frobenius's, finite wherever b and the residual are.  x must
+    have b's shape.
     """
-    fx = f @ linalg.as_matrix(x)
-    res = fx.T @ fx - b
-    return linalg.frobenius(res) / max(1.0, linalg.frobenius(b))
+    x = linalg.as_matrix(x)
+    if x.shape != b.shape:
+        raise DimensionError(f"x must be {b.shape}, as b is, got {x.shape}")
+    return _stationarity_misfit(f, b, x) / max(1.0, linalg.frobenius(b))
 
 
 def make_solution(
@@ -146,16 +163,32 @@ def make_solution(
     x: np.ndarray,
     method_tag: str,
     consistency: "ConsistencyReport | None" = None,
+    alpha: float = 1.0,
+    beta: float = 1.0,
 ) -> SpdSolution:
     """Symmetrize a computed solution, validate positive definiteness, and
     attach the error value and residual diagnostics.
 
-    f is the route's factor of A (f^T f = A, n columns) and b the B = T^T T
-    it formed; neither is formed again.  consistency is the report that
-    admitted the solve, whose rank the solution carries; the rank is n
-    without one.
+    f, b and x belong to the pair (alpha D, beta T), with alpha and beta
+    powers of four, 1 and 1 for p itself: f is its factor of A (f^T f =
+    alpha^2 D^T D, n columns), b its B = beta^2 T^T T, and x its solution.
+    Neither f nor b is formed again.  The solution carries
+    X = (alpha / beta) x, in p's units, with E(X) and the min eigenvalue
+    of that X, and the KKT residual of kkt_residual in p's units, read as
+    ||x f^T f x - b||_F / max(beta^2, ||b||_F), which equals it and does
+    not overflow.  consistency is the report that admitted the solve,
+    whose rank the solution carries; the rank is n without one.
+
+    Raises ValueError when X is outside the float range: an entry
+    overflows, or a diagonal entry underflows past the smallest normal
+    float.
     """
-    x = linalg.symmetrize(linalg.as_matrix(x))
+    x_s = linalg.symmetrize(linalg.as_matrix(x))
+    shift = math.frexp(alpha)[1] - math.frexp(beta)[1]  # alpha / beta = 2**shift
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x_s, shift)
+    if shift and not (np.isfinite(x).all() and x.diagonal().min() >= sys.float_info.min):
+        raise ValueError(f"the solution X = 2**{shift} x is outside the float range")
     min_eig = float(linalg.symmetric_eigenvalues(x).min())
     if min_eig <= 0.0:
         raise NotPositiveDefiniteError(
@@ -164,7 +197,7 @@ def make_solution(
     return SpdSolution(
         x=x,
         error_value=_error_of_factor(p, linalg.cholesky(x)),
-        kkt_residual=kkt_residual(f, b, x),
+        kkt_residual=_stationarity_misfit(f, b, x_s) / max(beta * beta, linalg.frobenius(b)),
         min_eigenvalue=min_eig,
         method_tag=method_tag,
         rank=p.n if consistency is None else consistency.rank,

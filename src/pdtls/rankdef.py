@@ -27,8 +27,15 @@ numerically singular B (a rank-deficient T).
 
 partition_spectral and partition_cod build the basis U from the
 triangle R of D = Q R, neither forming A, and solve picks one by method.
-Each partition forms B = T^T T once and keeps it, with its factor of A,
-for the consistency threshold and the solution's diagnostics.
+Each partition scales the data once, to the pair (alpha D, beta T) with
+alpha and beta powers of four that bring D's largest singular value and
+T's largest entry near one, and solves that pair: X(alpha D, beta T) =
+(beta / alpha) X(D, T), and scaling by a power of two is exact barring
+under- and overflow (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 2002, ch. 2), which data of order one do not meet.
+Each partition forms the scaled B = T^T T once and keeps it, with its
+factor of A, for the consistency threshold and the solution's
+diagnostics, which are read back in the caller's units.
 """
 
 import functools
@@ -37,6 +44,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import linalg, model
 from .errors import DimensionError, NoSolutionError, NotPositiveDefiniteError, RankDeficiencyError
@@ -58,14 +66,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Rank-r block view of B in a basis aligned with the row space of D.
+    """Rank-r block view of B in a basis aligned with the row space of D,
+    for the scaled pair (alpha D, beta T).
 
+    alpha is the power of four nearest 1 / s_1, s_1 the largest singular
+    value of D (1 at rank 0), and beta the one nearest 1 / max|T| (1 at
+    T = 0), so that every block is of order one whatever the caller's
+    units.  The blocks, b, s and factor all belong to the scaled pair:
     basis_u is n-by-n orthonormal; its first r columns span the row space
-    of D and diagonalize the nonzero part of A with eigenvalues s**2.
-    b_rr, b_rn, b_nn are the blocks of basis_u^T B basis_u.  b is B = T^T T
-    itself, and factor is the partition's factor of A (factor^T factor = A,
-    n columns).  core holds the eigenpairs of the r-by-r core, taken on
-    first use, which the consistency test and the solve share.
+    of D and diagonalize the nonzero part of alpha^2 A with eigenvalues
+    s**2.  b_rr, b_rn, b_nn are the blocks of basis_u^T B basis_u.  b is
+    B = (beta T)^T (beta T) itself, and factor is the partition's factor
+    of alpha^2 A (factor^T factor = alpha^2 A, n columns).  core holds the
+    eigenpairs of the r-by-r core, taken on first use, which the
+    consistency test and the solve share.
     """
 
     r: int
@@ -76,6 +90,8 @@ class BlockPartition:
     basis_u: np.ndarray
     b: np.ndarray
     factor: np.ndarray
+    alpha: float = 1.0
+    beta: float = 1.0
 
     @functools.cached_property
     def core(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,14 +99,9 @@ class BlockPartition:
         S = diag(s), and g = w^T S B_rn.
 
         Taken lazily, so that check_consistency's singularity rule decides
-        first.  Raises ValueError when S B_rr S overflows.
+        first.
         """
-        with np.errstate(over="ignore"):
-            core = self.s[:, None] * self.b_rr * self.s[None, :]
-        if not np.isfinite(core).all():
-            raise ValueError(
-                "the core S B_rr S overflowed: the data are too large in magnitude to solve"
-            )
+        core = self.s[:, None] * self.b_rr * self.s[None, :]
         lam, w = linalg.symmetric_eigenpairs(linalg.symmetrize(core))
         return lam, w, w.T @ (self.s[:, None] * self.b_rn)
 
@@ -136,35 +147,42 @@ def default_delta(b: np.ndarray) -> float:
     """Default consistency threshold 1e-8 * ||B||_F, relative to B alone,
     so that no verdict depends on the units of D or T.
 
-    ||B||_F is linalg.frobenius's, finite whenever ||B||_F itself is at
-    most the largest float; past it the threshold is Inf, which
-    check_consistency refuses.  The
-    threshold is never below the smallest positive normal float, which is
-    its value on B = 0: there it admits f_norm = 0 alone, so T = 0 is
-    consistent only when D = 0 too (rank 0, where every SPD X fits exactly
-    and X = L_free L_free^T).
+    check_consistency applies it to the partition's scaled B, whose norm
+    is of order one.  The threshold is never below the smallest positive
+    normal float, which is its value on B = 0: there it admits f_norm = 0
+    alone, so T = 0 is consistent only when D = 0 too (rank 0, where every
+    SPD X fits exactly and X = L_free L_free^T).
     """
     return max(1e-8 * linalg.frobenius(b), sys.float_info.min)
+
+
+def _power_of_four_near_inverse(x: float) -> float:
+    """The power of four nearest 1 / x for x > 0, and 1.0 at x = 0, within
+    4**-511 and 4**511, the normal floats' range."""
+    k = round(min(max(-0.5 * math.log2(x), -511), 511)) if x else 0
+    return math.ldexp(1.0, 2 * k)
 
 
 def _blocks(
     basis_u: np.ndarray, t: np.ndarray, r: int, s: np.ndarray, factor: np.ndarray
 ) -> BlockPartition:
-    # On finite data of large magnitude B, or its rotation, overflows to Inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = linalg.gram(t)
-        bt = basis_u.T @ b @ basis_u
-    if not np.isfinite(bt).all():
-        raise ValueError("B = T^T T overflowed: the data are too large in magnitude to solve")
+    # s holds D's r largest singular values, descending.
+    alpha = _power_of_four_near_inverse(s[0] if r else 0.0)
+    flat = t.ravel(order="K")
+    beta = _power_of_four_near_inverse(abs(flat[blas.idamax(flat)]))
+    b = linalg.gram(beta * t)
+    bt = basis_u.T @ b @ basis_u
     return BlockPartition(
         r=r,
         b_rr=linalg.symmetrize(bt[:r, :r]),
         b_rn=bt[:r, r:].copy(),
         b_nn=linalg.symmetrize(bt[r:, r:]),
-        s=s,
+        s=alpha * s,
         basis_u=basis_u,
         b=b,
-        factor=factor,
+        factor=alpha * factor,
+        alpha=alpha,
+        beta=beta,
     )
 
 
@@ -200,24 +218,30 @@ def check_consistency(bp: BlockPartition, delta: float | None = None) -> Consist
     (III) is solvable iff the Schur complement of B_rr in Bt vanishes, so
     this measures f_norm = ||B_nn - B_rn^T B_rr^{-1} B_rn||_F, read from the
     partition's core eigenpairs as ||B_nn - g^T diag(lam)^{-1} g||_F by
-    linalg.frobenius, and flags the instance consistent iff f_norm < delta,
-    which defaults to default_delta(bp.b).  At r = 0 the complement is B_nn
-    itself, f_norm = ||B||_F and b_rr_condition is 1.0; at r = n it is
-    empty, f_norm = 0 and b_rr_condition is cond(B).  A numerically singular
-    leading block B_rr, at any rank r >= 1, means the data cannot support
-    an SPD solution: reported inconsistent with f_norm and b_rr_condition
-    both inf, before the core is decomposed.  Raises
-    ValueError unless delta is positive and finite, and
-    numpy.linalg.LinAlgError when LAPACK cannot take the singular values of
-    B_rr (a NaN in it), or the measured f_norm or the default delta is Inf
-    or NaN (the arithmetic under- or overflowed): a failed computation, not
-    a verdict.
+    linalg.frobenius, and flags the instance consistent iff f_norm < delta.
+    The test runs in the partition's scaled units, where the default delta
+    is default_delta(bp.b) and a caller's delta is multiplied by beta
+    twice; the report gives f_norm and delta in the caller's units, where
+    a value past the float range reads inf or 0.0 and the verdict stands.
+    At r = 0 the complement is B_nn itself, f_norm = ||B||_F and
+    b_rr_condition is 1.0; at r = n it is empty, f_norm = 0 and
+    b_rr_condition is cond(B).  A numerically singular leading block B_rr,
+    at any rank r >= 1, means the data cannot support an SPD solution:
+    reported inconsistent with f_norm and b_rr_condition both inf, before
+    the core is decomposed.  Raises ValueError unless delta is positive
+    and finite, and numpy.linalg.LinAlgError when LAPACK cannot take the
+    singular values of B_rr (a NaN in it), or the measured f_norm is Inf or
+    NaN (a core eigenvalue underflowed): a failed computation, not a
+    verdict.
     """
+    beta = bp.beta
     if delta is None:
-        delta = default_delta(bp.b)
-        if not math.isfinite(delta):
-            raise np.linalg.LinAlgError(f"default delta={delta} is not finite: ||B||_F overflowed")
-    if not (math.isfinite(delta) and delta > 0.0):
+        scaled_delta = default_delta(bp.b)
+        delta = scaled_delta / beta / beta
+    elif math.isfinite(delta) and delta > 0.0:
+        # A delta that underflows in scaled units still admits f_norm = 0.
+        scaled_delta = max(delta * beta * beta, math.ulp(0.0))
+    else:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     r = bp.r
     schur = bp.b_nn
@@ -231,8 +255,8 @@ def check_consistency(bp: BlockPartition, delta: float | None = None) -> Consist
             )
         cond = float(sv[0] / sv[-1])
     if r and schur.size:
-        # A core eigenvalue that underflowed to 0, or a misfit past the
-        # largest float, gives a non-finite f_norm, refused below.
+        # A core eigenvalue that underflowed to 0 gives a non-finite
+        # f_norm, refused below.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lam, _, g = bp.core
             schur = schur - g.T @ (g / lam[:, None])
@@ -241,9 +265,8 @@ def check_consistency(bp: BlockPartition, delta: float | None = None) -> Consist
         raise np.linalg.LinAlgError(
             f"consistency misfit f_norm={f_norm} is not finite: the data under- or overflowed"
         )
-    return ConsistencyReport(
-        f_norm=f_norm, delta=delta, consistent=bool(f_norm < delta), b_rr_condition=cond, rank=r
-    )
+    return ConsistencyReport(f_norm=f_norm / beta / beta, delta=delta,
+                             consistent=bool(f_norm < scaled_delta), b_rr_condition=cond, rank=r)
 
 
 METHODS = ("auto", "qr", "spectral", "rankdef_spectral", "rankdef_cod")
@@ -270,9 +293,10 @@ def solve(
     threshold, default_delta(B) when omitted; choice is the trailing free
     factor, sqrt(||T||_F / ||D||_F) times the identity of size n - r when
     omitted, so that scaling D by a and T by b scales X by b / a at every
-    rank.  Every norm of the solve is linalg.frobenius's, so data whose
-    B = T^T T, ||B||_F and core S B_rr S stay finite solve without
-    overflow.
+    rank.  The solve runs on the partition's scaled pair (alpha D, beta T)
+    (see BlockPartition), so finite data of any magnitude neither over-
+    nor underflow B; X, its diagnostics and the report are in the
+    caller's units.
 
     Returns the solution, whose ``rank`` is the r it was solved at and whose
     ``consistency`` is the ConsistencyReport that admitted it.
@@ -286,9 +310,9 @@ def solve(
     NotPositiveDefiniteError
         If the leading block B_rr is not SPD.
     ValueError
-        numpy.linalg.LinAlgError among them, if the arithmetic under- or
-        overflows on the data, so that the consistency test cannot measure
-        its misfit.
+        If X in the caller's units is outside the float range, or,
+        numpy.linalg.LinAlgError among them, if a core eigenvalue
+        underflows, so that the consistency test cannot measure its misfit.
     """
     method = method.replace("-", "_")
     if method not in METHODS:
@@ -328,9 +352,9 @@ def solve_rankdef(
 
 
 def _default_free_factor(bp: BlockPartition, n: int) -> np.ndarray:
-    """L_free = sqrt(c) I of order n - r, with c = ||T||_F / ||D||_F, so
-    that the free block carries the data's units and X(aD, bT) = (b/a) X
-    below full rank as at r = n.
+    """L_free = sqrt(c) I of order n - r, with c = ||T||_F / ||D||_F of
+    the partition's scaled pair, so that the free block carries the data's
+    units and X(aD, bT) = (b/a) X below full rank as at r = n.
 
     ||T||_F is taken from B's diagonal, the squared column norms of T, and
     ||D||_F from the partition's factor of A.  c is 1 at rank 0, where
@@ -355,7 +379,8 @@ def solve_partition(
     "rankdef_spectral" below.  bp's B sets the default delta and, with its
     factor of A, the solution's diagnostics.  choice, delta, the return
     value and the refusals are as in solve; at r = n the trailing block is
-    empty and the solution is the unique minimizer.
+    empty and the solution is the unique minimizer.  A caller's L_free is
+    taken to the scaled pair by sqrt(beta / alpha), a power of two.
     """
     if method_tag == "auto":
         method_tag = "qr" if bp.r == p.n else "rankdef_spectral"
@@ -371,7 +396,8 @@ def solve_partition(
         )
     n = p.n
     r = bp.r
-    l_free = _default_free_factor(bp, n) if choice is None else choice.l_free
+    root = math.sqrt(bp.beta) / math.sqrt(bp.alpha)  # sqrt(beta / alpha), a power of two
+    l_free = _default_free_factor(bp, n) if choice is None else root * choice.l_free
     if l_free.shape[0] != n - r:
         raise DimensionError(
             f"l_free must be {n - r}x{n - r} for this instance, got {l_free.shape}"
@@ -390,4 +416,4 @@ def solve_partition(
             yt[r:, :r] = g.T * lam**-0.75
             yt[r:, r:] = l_free
     y = bp.basis_u @ yt
-    return model.make_solution(p, bp.factor, bp.b, y @ y.T, method_tag, report)
+    return model.make_solution(p, bp.factor, bp.b, y @ y.T, method_tag, report, bp.alpha, bp.beta)

@@ -1,9 +1,10 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from pdtls import model
+from pdtls import linalg, model
 
 
 @pytest.fixture
@@ -38,25 +39,45 @@ class _Watched(np.ndarray):
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
+def _power_of_four_multiple(a, b) -> bool:
+    """Whether a == 4**k * b for an integer k (k = 0 included)."""
+    if a.shape != b.shape or not b.any():
+        return False
+    i = np.argmax(np.abs(b))
+    c = a.flat[i] / b.flat[i]
+    mantissa, exponent = math.frexp(c)
+    return mantissa == 0.5 and (exponent - 1) % 2 == 0 and np.array_equal(a, c * b)
+
+
 @pytest.fixture
-def grams():
+def grams(spy):
     """``grams.watch(p)`` returns a copy of ProblemInstance p whose d and t
     log their Gram products; ``grams.count("t")`` is then how many times
-    T^T T was formed from it, and likewise for "d"."""
+    a Gram matrix of T or of T times a power of four was formed from it:
+    T^T T as a product of T's own views, or linalg.gram called on such a
+    multiple, as the partition scales T before it forms B.  Likewise for
+    "d"."""
+    gram = spy(linalg, "gram")
 
     class Grams:
         def __init__(self):
             self.log = []
+            self.inputs = {}
 
         def watch(self, p):
             q = model.ProblemInstance(d=p.d, t=p.t)
             for name in ("d", "t"):
+                self.inputs[name] = getattr(p, name)
                 view = getattr(p, name).view(_Watched)
                 view.name, view.log = name, self.log
                 object.__setattr__(q, name, view)
             return q
 
         def count(self, name):
-            return self.log.count(name)
+            # A call on a watched view is logged by its own product already.
+            scaled = [a for c in gram.call_args_list for a in c.args[:1]
+                      if not isinstance(a, _Watched)
+                      and _power_of_four_multiple(a, self.inputs[name])]
+            return self.log.count(name) + len(scaled)
 
     return Grams()

@@ -27,9 +27,11 @@ def block_residuals(bp, x) -> tuple[float, float]:
     """Relative residuals of block equations (I) and (II) for a solution x,
     in the basis of the rankdef.BlockPartition bp.
 
-    (I) is measured against ||B_rr||_F, (II) against ||B||_F.
+    x is in the caller's units and is taken to those of bp's scaled pair,
+    (beta / alpha) x, exactly.  (I) is measured against ||B_rr||_F, (II)
+    against ||B||_F.
     """
-    x = linalg.as_matrix(x)
+    x = (bp.beta / bp.alpha) * linalg.as_matrix(x)
     r = bp.r
     if r == 0:
         return 0.0, 0.0

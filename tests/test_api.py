@@ -74,8 +74,9 @@ def test_refusal_carries_the_rank():
 
 @pytest.mark.parametrize("method, kind", METHOD_KINDS)
 def test_one_factor_of_d_and_one_gram_of_t(method, kind, spy, grams):
-    # One pass: one factor of D, no SVD of D beside it, one B = T^T T, no
-    # A = D^T D, and one solution built, by no other route's entry point.
+    # One pass: one factor of D, no SVD of D beside it, one B, the Gram
+    # matrix of T times a power of four, no A = D^T D, and one solution
+    # built, by no other route's entry point.
     plain = full_problem() if kind == "full" else rankdef_problem()
     p = grams.watch(plain)
     factors = {name: spy(linalg, name) for name in ("qr_svd_decompose", "rank_revealing_qr")}
@@ -134,38 +135,52 @@ def scaled(p, k):
     return model.ProblemInstance(d=k * p.d, t=k * p.t)
 
 
-def subnormal_full_rank(seed):
-    # cond(D) = 1e9, noise-free: D's numeric rank is 11, and under 1e-160
-    # B_rr holds subnormals that pass the singularity rule.
+def full_rank_cond_1e9(seed):
+    # cond(D) = 1e9, noise-free: D's numeric rank is below n and the
+    # instance is refused.
     spec = generate.GeneratorSpec(m=200, n=12, r=12, seed=seed,
                                   spectrum_a=np.geomspace(1.0, 1e-9, 12))
-    return scaled(generate.gen_full_rank(spec)[0], 1e-160)
+    return generate.gen_full_rank(spec)[0]
 
 
-def scaled_rank_7(k):
-    return scaled(generate.gen_consistent_rankdef(generate.GeneratorSpec(m=200, n=12, r=7, seed=0)), k)
+def rank_7():
+    return generate.gen_consistent_rankdef(generate.GeneratorSpec(m=200, n=12, r=7, seed=0))
 
 
-# Finite data whose consistency misfit the arithmetic cannot measure: the
-# core S B_rr S underflows to 0 (x1e-160) or overflows (x1e150, where the
-# sum of squares behind ||B||_F overflows too).
-UNMEASURABLE = {
-    "full_rank_x1e-160_seed0": lambda: subnormal_full_rank(0),
-    "full_rank_x1e-160_seed1": lambda: subnormal_full_rank(1),
-    "rank_7_x1e-160": lambda: scaled_rank_7(1e-160),
-    "rank_7_x1e150": lambda: scaled_rank_7(1e150),
+# Finite data near either end of the float range: in the caller's units
+# the core S B_rr S underflows to 0 (x1e-160) or overflows (x1e150, where
+# the sum of squares behind ||B||_F overflows too).
+SCALED = {
+    "full_rank_x1e-160_seed0": (lambda: full_rank_cond_1e9(0), 1e-160),
+    "full_rank_x1e-160_seed1": (lambda: full_rank_cond_1e9(1), 1e-160),
+    "rank_7_x1e-160": (rank_7, 1e-160),
+    "rank_7_x1e150": (rank_7, 1e150),
 }
 
 
+def outcome(p, method):
+    """(verdict, rank, X) of pdtls.solve, X None on a NoSolutionError."""
+    try:
+        sol = pdtls.solve(p, method)
+    except NoSolutionError as exc:
+        return "NoSolutionError", exc.report.rank, None
+    return "ok", sol.rank, sol.x
+
+
 @pytest.mark.parametrize("method", ["auto", "rankdef_cod"])
-@pytest.mark.parametrize("case", sorted(UNMEASURABLE))
+@pytest.mark.parametrize("case", sorted(SCALED))
 def test_no_verdict_on_arithmetic_that_never_ran(case, method):
-    p = UNMEASURABLE[case]()
-    # An under- or overflow is a failed computation (ValueError, LinAlgError
-    # among them), never a NoSolutionError verdict on the data.
-    expected = ValueError if case.endswith("x1e150") else np.linalg.LinAlgError
-    with pytest.raises(expected):
-        pdtls.solve(p, method)
+    # The solve runs on the partition's scaled pair, so the scaled data get
+    # the verdict and rank of the data as generated and, when solvable,
+    # their X, within test_properties' rule: never a verdict that the
+    # arithmetic under- or overflowed into.
+    make, k = SCALED[case]
+    p = make()
+    verdict, rank, x = outcome(scaled(p, k), method)
+    ref_verdict, ref_rank, ref_x = outcome(p, method)
+    assert (verdict, rank) == (ref_verdict, ref_rank)
+    if ref_x is not None:
+        assert np.linalg.norm(x - ref_x) <= 1e-10 * np.linalg.norm(ref_x)
 
 
 @pytest.mark.parametrize("solve", [fullrank.solve_qr, fullrank.solve_spectral, pdtls.solve],

@@ -93,15 +93,16 @@ def test_run_suite_records_failure():
 
 
 def overflowing_pair():
-    """A 200x12 full-rank instance and a copy scaled by 1e150: finite data
-    whose solve overflows to Inf and raises ValueError."""
+    """A 200x12 full-rank instance and a copy with D scaled by 1e-200 and T
+    by 1e200: finite data whose solution X ~ 1e400 X0 is past the float
+    range, which raises ValueError."""
     p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=200, n=12, r=12, seed=0))
-    return p, model.ProblemInstance(d=p.d * 1e150, t=p.t * 1e150)
+    return p, model.ProblemInstance(d=p.d * 1e-200, t=p.t * 1e200)
 
 
 def test_run_suite_records_a_value_error_as_a_failed_run():
     plain, scaled = overflowing_pair()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="solution X"):
         fullrank.solve_qr(scaled)
     records = bench.run_suite(
         [("plain", plain), ("scaled", scaled)], {"qr": fullrank.solve_qr}, repetitions=2

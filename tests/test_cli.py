@@ -109,6 +109,24 @@ def test_exit_codes_of_a_real_process(tmp_path):
     assert run_process(["solve", "--data", empty, "--target", empty]) == 3
 
 
+def test_zero_row_stream_exit_3(tmp_path):
+    # A stream (here a pipe, as bash's process substitution gives) cannot
+    # be read twice: its size line is read from the bytes read once, so a
+    # zero-row matrix is refused before scipy's reader could die of SIGFPE.
+    io.write_matrix(tmp_path / "T.mtx", np.eye(3))
+    r, w = os.pipe()
+    try:
+        os.write(w, (MTX_BANNER + "0 3\n").encode())
+        os.close(w)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        cmd = [sys.executable, "-m", "pdtls.cli", "solve", "--format", "mtx",
+               "--data", f"/dev/fd/{r}", "--target", str(tmp_path / "T.mtx")]
+        proc = subprocess.run(cmd, env=env, pass_fds=(r,), capture_output=True, timeout=120)
+    finally:
+        os.close(r)
+    assert proc.returncode == 3 and b"no rows" in proc.stderr
+
+
 def generate_rankdef(out_dir):
     """The files of a consistent 20x5 pair with rank(D) = 3."""
     assert run(["generate", "--m", 20, "--n", 5, "--rank", 3, "--seed", 7,
@@ -330,60 +348,82 @@ def test_invalid_inputs_exit_3(tmp_path, capsys):
             assert named in capsys.readouterr().err
 
 
+def cli_outcome(tmp_path, command, d, t):
+    """(exit code, strict JSON report, X or None) of ``pdtls command`` on
+    the data d and target t."""
+    io.write_matrix(tmp_path / "D.mtx", d)
+    io.write_matrix(tmp_path / "T.mtx", t)
+    out, rep = tmp_path / "X.mtx", tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    extra = ["--out", out] if command == "solve" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([command, "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx",
+                    "--report", rep, *extra])
+    report = json.loads(rep.read_text(), parse_constant=refuse_constant)
+    return code, report, io.read_matrix(out) if out.exists() else None
+
+
+def close(x, ref):
+    """test_properties' rule for two solves of transformed data."""
+    return np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("kind, scale", [("full_rank", 1e-160), ("rank_7", 1e-160), ("rank_7", 1e150)])
 def test_unmeasurable_misfit_exit_3(tmp_path, kind, scale):
-    # Finite data on which the consistency misfit under- or overflows: the
-    # arithmetic failed, which is not "no SPD solution" (exit 2).
-    if kind == "full_rank":  # cond(D) = 1e9, so D's numeric rank is 11
+    # Finite data on which the consistency misfit would under- or overflow
+    # in the caller's units: both commands exit as on the data as
+    # generated, at its rank, and solve gives its X.
+    if kind == "full_rank":  # cond(D) = 1e9: D's numeric rank is below n
         spec = generate.GeneratorSpec(m=200, n=12, r=12, seed=0,
                                       spectrum_a=np.geomspace(1.0, 1e-9, 12))
         p, _ = generate.gen_full_rank(spec)
     else:
         p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=200, n=12, r=7, seed=0))
-    io.write_matrix(tmp_path / "D.mtx", scale * p.d)
-    io.write_matrix(tmp_path / "T.mtx", scale * p.t)
     for command in ("solve", "check"):
-        assert run([command, "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx"]) == 3
-
-
-def test_overflowing_default_delta_exit_3(tmp_path):
-    # B = T^T T and the misfit are finite, ||B||_F is not: no threshold,
-    # so no verdict (see test_rankdef).
-    io.write_matrix(tmp_path / "D.mtx", np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
-    io.write_matrix(tmp_path / "T.mtx", 9e153 * np.eye(6))
-    for command in ("solve", "check"):
-        assert run([command, "--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx"]) == 3
+        code, report, x = cli_outcome(tmp_path, command, scale * p.d, scale * p.t)
+        ref_code, ref_report, ref_x = cli_outcome(tmp_path, command, p.d, p.t)
+        assert (code, report["rank_r"]) == (ref_code, ref_report["rank_r"])
+        assert (x is None) == (ref_x is None)
+        if x is not None:
+            assert close(x, ref_x)
 
 
 def refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def test_overflowing_default_delta_exit_3(tmp_path):
+    # ||B||_F of T = 9e153 I is past the largest float; the default delta,
+    # 1e-8 of it, and f_norm are not.  The test decides in the partition's
+    # units: T has a component outside D's row space, so both commands
+    # exit 2 with the misfit in the data's units.
+    d, t = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), 9e153 * np.eye(6)
+    for command in ("solve", "check"):
+        code, report, _ = cli_outcome(tmp_path, command, d, t)
+        assert (code, report["consistent"]) == (2, False)
+        assert report["f_norm"] == pytest.approx(np.sqrt(3.0) * 9e153**2, rel=1e-12)
+        assert report["delta"] == pytest.approx(1e-8 * np.sqrt(6.0) * 9e153**2, rel=1e-12)
+
+
 @pytest.mark.parametrize("kind", ["full_rank", "rank_7"])
 def test_overflow_on_finite_data_is_named_and_reported_as_json(tmp_path, capsys, kind):
-    # x1e150: B = T^T T is finite, but the sum of squares behind ||B||_F and
-    # the core S B_rr S overflow.  x1e200: B itself overflows.  No warning
-    # escapes as a traceback (exit 1), the error names the overflow, and a
-    # report holds finite numbers only.
+    # x1e150: the sum of squares behind ||B||_F and the core S B_rr S would
+    # overflow in the data's units; x1e200: B itself would.  Both commands
+    # succeed with no warning, solve gives the unscaled data's X, and each
+    # report is strict JSON, a value past the float range written as null.
     if kind == "full_rank":
         p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=200, n=12, r=12, seed=0))
     else:
         p = generate.gen_consistent_rankdef(generate.GeneratorSpec(m=200, n=12, r=7, seed=0))
-    for scale, named in ((1e150, "S B_rr S overflowed"), (1e200, "B = T^T T overflowed")):
-        io.write_matrix(tmp_path / "D.mtx", scale * p.d)
-        io.write_matrix(tmp_path / "T.mtx", scale * p.t)
-        files = ["--data", tmp_path / "D.mtx", "--target", tmp_path / "T.mtx"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["solve", *files]) == 3
-            assert named in capsys.readouterr().err
-            code = run(["check", *files, "--report", tmp_path / "check.json"])
-        if kind == "full_rank" and scale == 1e150:  # r = n: the empty complement needs no core
-            assert code == 0
-            report = json.loads((tmp_path / "check.json").read_text(), parse_constant=refuse_constant)
-            assert 0.0 < report["delta"] < float("inf")
-        else:
-            assert code == 3 and named in capsys.readouterr().err
+    ref = pdtls.solve(p)
+    for scale in (1e150, 1e200):
+        code, report, x = cli_outcome(tmp_path, "solve", scale * p.d, scale * p.t)
+        assert (code, report["rank_r"], report["consistent"]) == (0, ref.rank, True)
+        assert close(x, ref.x)
+        code, report, _ = cli_outcome(tmp_path, "check", scale * p.d, scale * p.t)
+        assert (code, report["rank_r"], report["consistent"]) == (0, ref.rank, True)
+    assert capsys.readouterr().err == ""
 
 
 BAND = {
@@ -517,13 +557,14 @@ def test_bench_suite_dir(tmp_path, capsys):
 
 
 def test_bench_suite_dir_records_an_overflowing_solve(tmp_path, capsys):
-    # Finite input whose solve overflows is one failed run, not invalid input.
+    # Finite input whose X overflows (D x1e-200, T x1e200: X ~ 1e400 X0)
+    # is one failed run, not invalid input.
     suite = tmp_path / "suite"
     suite.mkdir()
     p, _ = generate.gen_full_rank(generate.GeneratorSpec(m=200, n=12, r=12, seed=0))
-    for name, scale in (("plain", 1.0), ("scaled", 1e150)):
-        io.write_matrix(suite / f"{name}_D.mtx", p.d * scale)
-        io.write_matrix(suite / f"{name}_T.mtx", p.t * scale)
+    for name, d_scale, t_scale in (("plain", 1.0, 1.0), ("scaled", 1e-200, 1e200)):
+        io.write_matrix(suite / f"{name}_D.mtx", p.d * d_scale)
+        io.write_matrix(suite / f"{name}_T.mtx", p.t * t_scale)
     assert run(["bench", "--suite-dir", suite, "--solvers", "qr", "--repetitions", 1,
                 "--records", tmp_path / "records.csv"]) == 0
     assert json.loads(capsys.readouterr().out)["failures"] == 1

@@ -238,6 +238,48 @@ def test_only_large_or_unusual_mtx_files_reach_scipy(tmp_path, spy):
         assert mmread.call_count == calls + 1
 
 
+@pytest.fixture
+def pipes():
+    """``pipes(link, data)`` makes link a name of a pipe holding data, as
+    bash's process substitution names one /dev/fd/N; closed after the test."""
+    fds = []
+
+    def make(link, data: bytes):
+        r, w = os.pipe()
+        fds.append(r)
+        os.write(w, data)  # within the pipe's buffer
+        os.close(w)
+        link.symlink_to(f"/dev/fd/{r}")
+        return link
+
+    yield make
+    for fd in fds:
+        os.close(fd)
+
+
+def test_mtx_streams_are_read_once(tmp_path, spy, pipes):
+    # A stream is read once, in full: parsed in-process when small and
+    # plain, else scipy reads the same bytes; a compressed name is
+    # decompressed; no rows are refused before either parser runs.
+    import scipy.io
+
+    mmread = spy(scipy.io, "mmread")
+    small = np.arange(320.0).reshape(40, 8) / 7
+    large = np.arange(800.0).reshape(40, 20) / 7
+    for name, a in (("small.mtx", small), ("large.mtx", large)):
+        io.write_matrix(tmp_path / name, a)
+    text = {name: (tmp_path / name).read_bytes() for name in ("small.mtx", "large.mtx")}
+    assert len(text["large.mtx"]) > io._SMALL_MTX_BYTES
+    cases = [("s.mtx", text["small.mtx"], small, 0), ("l.mtx", text["large.mtx"], large, 1),
+             ("s.mtx.gz", gzip.compress(text["small.mtx"]), small, 0)]
+    for name, data, want, calls in cases:
+        before = mmread.call_count
+        assert np.array_equal(io.read_matrix(pipes(tmp_path / name, data), "mtx"), want)
+        assert mmread.call_count == before + calls
+    with pytest.raises(DimensionError, match="no rows"):
+        io.read_matrix(pipes(tmp_path / "e.mtx", body(size="0 3").encode()))
+
+
 def test_small_reads_leave_scipy_io_unimported(tmp_path):
     # scipy.io takes tens of milliseconds to import; neither the CLI's
     # import nor a solve of small MatrixMarket inputs without --out needs it.

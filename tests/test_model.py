@@ -74,6 +74,13 @@ def test_error_trace_identity_data_closed_form():
 def test_error_trace_rejects_non_spd():
     with pytest.raises(NotPositiveDefiniteError):
         model.error_trace(scalar_problem(), np.array([[-1.0]]))
+    # An SPD X of the wrong order is refused by every public functional,
+    # naming both shapes.
+    p = model.ProblemInstance(d=np.eye(2), t=np.eye(2))
+    for error in (model.error_trace, model.error_frobenius,
+                  lambda p, x: model.kkt_residual(p.d, p.t, x)):
+        with pytest.raises(DimensionError, match=re.escape("(2, 2)") + ".*" + re.escape("(3, 3)")):
+            error(p, np.eye(3))
 
 
 def test_error_frobenius_matches_trace_on_examples():

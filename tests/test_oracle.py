@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import pdtls
-from pdtls import generate, rankdef
+from pdtls import generate, model, rankdef
 
 DIGITS = 50
 
@@ -90,16 +90,16 @@ def rel(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("noise", [0.0, 1e-6], ids=["noise_free", "noisy"])
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("cond", sorted(BOUND))
-def test_forward_error_against_the_oracle(cond, seed, noise):
+def forward_error_case(cond, seed, noise, scale):
+    """pdtls.solve against the oracle on 200x12 full-rank data with both
+    D and T multiplied by scale; the oracle runs on the scaled floats."""
     spec = generate.GeneratorSpec(
         m=200, n=12, r=12, seed=seed, spectrum_a=np.geomspace(1.0, 1.0 / cond, 12)
     )
     p, x0 = generate.gen_full_rank(spec)
     if noise:
         p = generate.inject_noise(p, noise, seed)
+    p = model.ProblemInstance(d=scale * p.d, t=scale * p.t)
     ref = oracle_root(p.d, p.t)
     if not noise:
         # The generator's X0 solves the noise-free data up to the rounding
@@ -108,18 +108,63 @@ def test_forward_error_against_the_oracle(cond, seed, noise):
     assert rel(pdtls.solve(p).x, ref) <= BOUND[cond]
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("cond", sorted(RANKDEF_BOUND))
-def test_rank_deficient_forward_error_against_the_oracle(cond, seed):
+def rank_deficient_case(cond, seed, scale):
+    """The same on consistent 200x12 rank-7 data, completed with L_free = I."""
     spec = generate.GeneratorSpec(
         m=200, n=12, r=7, seed=seed, spectrum_a=np.geomspace(1.0, 1.0 / cond, 7)
     )
     p = generate.gen_consistent_rankdef(spec)
-    ref = oracle_rankdef_root(p.d, p.t, 7)
-    # The oracle solves X A X = B on the generator's consistent data.
+    ref = oracle_rankdef_root(scale * p.d, scale * p.t, 7)
+    # The oracle solves X A X = B on the generator's consistent data, of
+    # which the scaled data are a rounding.
     a, b = p.d.T @ p.d, p.t.T @ p.t
     assert np.linalg.norm(ref @ a @ ref - b) <= 1e-12 * np.linalg.norm(b)
     # The oracle completes with the identity, as CompletionChoice.identity does.
-    sol = pdtls.solve(p, choice=rankdef.CompletionChoice.identity(12 - 7))
+    scaled = model.ProblemInstance(d=scale * p.d, t=scale * p.t)
+    sol = pdtls.solve(scaled, choice=rankdef.CompletionChoice.identity(12 - 7))
     assert sol.rank == 7
     assert rel(sol.x, ref) <= RANKDEF_BOUND[cond]
+
+
+# Data near either end of the float range, where B = T^T T would over- or
+# underflow unless the solve scaled the data first.
+SCALES = [1e150, 1e200, 1e-160]
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-6], ids=["noise_free", "noisy"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("cond", sorted(BOUND))
+def test_forward_error_against_the_oracle(cond, seed, noise):
+    forward_error_case(cond, seed, noise, 1.0)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("noise", [0.0, 1e-6], ids=["noise_free", "noisy"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("cond", sorted(BOUND))
+def test_forward_error_against_the_oracle_on_scaled_data(cond, seed, noise, scale):
+    forward_error_case(cond, seed, noise, scale)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("cond", sorted(RANKDEF_BOUND))
+def test_rank_deficient_forward_error_against_the_oracle(cond, seed):
+    rank_deficient_case(cond, seed, 1.0)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("cond", sorted(RANKDEF_BOUND))
+def test_rank_deficient_forward_error_against_the_oracle_on_scaled_data(cond, seed, scale):
+    rank_deficient_case(cond, seed, scale)
+
+
+@pytest.mark.parametrize("k", [1e300, 1e-300, 1e-310])
+def test_exact_diagonal_solution_at_the_ends_of_the_float_range(k):
+    # D = k diag(1, 2, 3), T = k diag(2, 8, 18): X = diag(2, 4, 6) for any
+    # k, the data's entries normal, subnormal (1e-310) or near the largest
+    # float, where B's entries (k^2 times up to 324) are far outside it.
+    p = model.ProblemInstance(d=k * np.diag([1.0, 2.0, 3.0]), t=k * np.diag([2.0, 8.0, 18.0]))
+    ref = np.diag([2.0, 4.0, 6.0])
+    assert np.array_equal(oracle_root(p.d, p.t).round(12), ref)
+    assert rel(pdtls.solve(p).x, ref) <= BOUND[1e3]

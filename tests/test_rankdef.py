@@ -125,27 +125,40 @@ def test_check_consistency_refuses_a_nan_leading_block(n):
 
 
 def test_check_consistency_refuses_a_non_finite_misfit():
-    # At r = 0 the complement is B itself: finite entries of 7.5e307 whose
-    # Frobenius norm, 2.25e308, is past the largest float.  No verdict,
-    # inconsistent or not.
+    # At r = 0 the complement is B itself: entries of 7.5e307 whose
+    # Frobenius norm, 2.25e308, is past the largest float.  The partition's
+    # scaled B is of order one, so the misfit is measured and the verdict
+    # given; the report's f_norm, in the data's units, reads inf.
     p = model.ProblemInstance(d=np.zeros((3, 3)), t=np.full((3, 3), 5e153))
     bp = rankdef.partition_spectral(p)
-    assert bp.r == 0 and np.isfinite(bp.b_nn).all()
-    with pytest.raises(np.linalg.LinAlgError):
+    rep = rankdef.check_consistency(bp, 1.0)
+    assert (bp.r, rep.consistent, rep.f_norm, rep.delta) == (0, False, float("inf"), 1.0)
+    # T within 1e-153 of the complement of D's row space: B_rr = 1e-306 I
+    # passes the singularity rule, but the core eigenvalue s_2^2 * 1e-306
+    # underflows to 0 and the misfit cannot be measured.  No verdict.
+    t = np.array([[1e-153, 0.0, 0.0], [0.0, 1e-153, 1e-153], [0.0, 0.0, 1.0]])
+    p = model.ProblemInstance(d=np.diag([1.0, 1e-9, 0.0]), t=t)
+    bp = rankdef.partition_spectral(p)
+    assert bp.r == 2 and bp.core[0][-1] == 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="f_norm"):
         rankdef.check_consistency(bp, 1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        rankdef.solve(p)
 
 
 def test_check_consistency_refuses_a_non_finite_default_delta():
     # B = 8.1e307 I6 and the misfit ||B_nn||_F = 1.4e308 are finite, but
-    # ||B||_F = 1.98e308 is past the largest float: an Inf threshold would
-    # pass any misfit, so no verdict is given.
+    # ||B||_F = 1.98e308 is past the largest float.  The default delta is
+    # taken of the partition's scaled B, so it is finite, 1e-8 ||B||_F in
+    # the data's units, and the instance is inconsistent: T has a
+    # component outside D's row space.
     p = model.ProblemInstance(d=np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), t=9e153 * np.eye(6))
     bp = rankdef.partition_spectral(p)
-    assert bp.r == 3 and np.isfinite(bp.b).all()
-    assert rankdef.default_delta(bp.b) == float("inf")
-    with pytest.raises(np.linalg.LinAlgError, match="default delta"):
-        rankdef.check_consistency(bp)
-    with pytest.raises(np.linalg.LinAlgError):
+    rep = rankdef.check_consistency(bp)
+    assert (bp.r, rep.consistent) == (3, False)
+    assert rep.f_norm == pytest.approx(np.sqrt(3.0) * 9e153**2, rel=1e-12)
+    assert rep.delta == pytest.approx(1e-8 * np.sqrt(6.0) * 9e153**2, rel=1e-12)
+    with pytest.raises(NoSolutionError):
         rankdef.solve(p)
 
 
@@ -178,11 +191,12 @@ def n_row_f_norm(bp, b):
 
     Multiplied on the right by the orthogonal U, the matrix in the norm is
     [0, -(B_nn - B_rn^T B_rr^{-1} B_rn)], so it equals the Schur-complement
-    norm that check_consistency reads from the partition.
+    norm that check_consistency reads from the partition.  Only the basis
+    is taken from the partition: B and B_rr = U_r^T B U_r are the caller's.
     """
     u_r, u_nr = bp.basis_u[:, : bp.r], bp.basis_u[:, bp.r :]
     k = b @ u_r
-    return float(np.linalg.norm(u_nr.T @ (k @ np.linalg.solve(bp.b_rr, k.T) - b)))
+    return float(np.linalg.norm(u_nr.T @ (k @ np.linalg.solve(u_r.T @ k, k.T) - b)))
 
 
 def oracle_instances():
@@ -459,15 +473,21 @@ def test_solution_and_report_carry_the_rank(route):
 
 @pytest.mark.parametrize("route", ["spectral", "cod"])
 def test_partition_factor_and_b(route):
-    # The partition keeps B = T^T T and a factor of A = D^T D.
+    # The partition keeps B and a factor of A of the pair (alpha D, beta T),
+    # with alpha and beta the powers of four nearest 1 / s_1 and 1 / max|T|:
+    # B = beta^2 T^T T, exactly, and factor^T factor = alpha^2 D^T D.
     rng = np.random.default_rng(23)
     d = rng.standard_normal((9, 2)) @ rng.standard_normal((2, 4))
-    p = model.ProblemInstance(d=d, t=rng.standard_normal((9, 4)))
-    bp = getattr(rankdef, f"partition_{route}")(p)
-    assert np.array_equal(bp.b, gram_b(p))
-    a = p.d.T @ p.d
-    assert bp.factor.shape[1] == 4
-    assert np.linalg.norm(bp.factor.T @ bp.factor - a) <= 1e-13 * np.linalg.norm(a)
+    t = rng.standard_normal((9, 4))
+    for k in (0, 3, -3):
+        p = model.ProblemInstance(d=10.0**k * d, t=10.0 ** (2 * k) * t)
+        bp = getattr(rankdef, f"partition_{route}")(p)
+        for factor, size in ((bp.alpha, np.linalg.norm(p.d, 2)), (bp.beta, np.abs(p.t).max())):
+            assert np.log2(factor) % 2 == 0 and 0.5 <= factor * size <= 2.0
+        assert np.array_equal(bp.b, bp.beta**2 * gram_b(p))
+        a = bp.alpha**2 * (p.d.T @ p.d)
+        assert bp.factor.shape[1] == 4
+        assert np.linalg.norm(bp.factor.T @ bp.factor - a) <= 1e-13 * np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("route", ["spectral", "cod"])
