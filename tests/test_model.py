@@ -193,6 +193,14 @@ def test_make_solution_validates():
     # An X that overflowed is refused before any kernel reads it.
     with pytest.raises(ValueError, match="NaN or Inf"):
         model.make_solution(p, np.eye(2), b, np.diag([1.0, np.inf]), "qr")
+    # X = (alpha / beta) x outside the float range, past the largest float
+    # or below the smallest normal one, is refused naming X; so is the
+    # solve of data whose X underflows (D x1e200, T x1e-200: X ~ 1e-400).
+    for alpha, beta in ((4.0**300, 4.0**-300), (4.0**-300, 4.0**300)):
+        with pytest.raises(ValueError, match="solution X"):
+            model.make_solution(p, np.eye(2), b, np.diag([2.0, 3.0]), "qr", None, alpha, beta)
+    with pytest.raises(ValueError, match="solution X"):
+        pdtls.solve(model.ProblemInstance(d=1e200 * p.d, t=1e-200 * p.t))
 
 
 def test_make_solution_refuses_a_singular_factor():

@@ -294,6 +294,12 @@ def test_verdict_does_not_depend_on_units():
                 rep = rankdef.check_consistency(rankdef.partition_spectral(scaled))
                 assert (rep.rank, rep.consistent) == (4, False)
                 assert rep.f_norm / rep.delta == pytest.approx(ref.f_norm / ref.delta, rel=1e-12)
+    # A caller's delta is taken to the partition's units, times beta^2: at
+    # full rank f_norm = 0 passes any positive delta, also one that
+    # underflows there (1e-300 * beta^2 with beta ~ 1e-200).
+    p = model.ProblemInstance(d=np.eye(2), t=1e200 * np.eye(2))
+    rep = rankdef.check_consistency(rankdef.partition_spectral(p), 1e-300)
+    assert (rep.consistent, rep.f_norm, rep.delta) == (True, 0.0, 1e-300)
 
 
 def test_solve_rankdef_attaches_consistency_report():
